@@ -15,7 +15,7 @@ from .quadrature import (NoConvergence, NonFinite, clenshaw_curtis_rule,
 from .contour import (Contour, Segment, decay_directions, descent_system,
                       direct_contour, pole_avoiding_contour, validate_descent)
 from .special import (AsymptoticValue, asymptotic_I, eval_E, eval_I,
-                      eval_kernel, ode_residual, residue_part)
+                      eval_I_grid, eval_kernel, ode_residual, residue_part)
 from .ivp import (JumpDecomposition, NotAJump, PiecewisePolynomialIC,
                   PieceTooShallow, box, jump_decomposition, rescaled_profile,
                   smoothed_box, solve, taylor_away, tent)
@@ -32,8 +32,8 @@ __all__ = [
     "clenshaw_curtis_rule",
     "Segment", "Contour", "pole_avoiding_contour", "direct_contour",
     "descent_system", "validate_descent", "decay_directions",
-    "eval_I", "eval_E", "eval_kernel", "residue_part", "asymptotic_I",
-    "AsymptoticValue", "ode_residual",
+    "eval_I", "eval_I_grid", "eval_E", "eval_kernel", "residue_part",
+    "asymptotic_I", "AsymptoticValue", "ode_residual",
     "PiecewisePolynomialIC", "JumpDecomposition", "NotAJump",
     "PieceTooShallow", "box", "tent", "smoothed_box", "jump_decomposition",
     "solve", "taylor_away", "rescaled_profile",

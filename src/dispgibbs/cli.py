@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -23,9 +22,8 @@ import numpy as np
 from .dispersion import (DegeneratePhase, InvalidDispersion, normalize,
                          parse_omega)
 from .quadrature import NoConvergence, NonFinite
-from .special import asymptotic_I, eval_I, eval_kernel, ode_residual
-from .contour import (descent_system, direct_contour, pole_avoiding_contour,
-                      validate_descent)
+from .special import eval_I, eval_kernel, ode_residual
+from .contour import descent_system, direct_contour, pole_avoiding_contour
 from .dispersion import scaled_phase
 from . import special as _special
 from .ivp import PiecewisePolynomialIC, box, smoothed_box, solve, tent
@@ -83,8 +81,12 @@ def _parse_ic(text):
         f"--ic must be box, tent, smoothed-box:<delta>, or a JSON file; got {text!r}")
 
 
-def _workers():
-    raw = os.cpu_count() or 1
+def _check_threads():
+    """Validate DISPGIBBS_THREADS; grids are mapped serially whatever it says.
+
+    A thread pool made grid sweeps slower, not faster, so the variable no
+    longer changes anything; a bad value is still an argument error.
+    """
     cap = os.environ.get("DISPGIBBS_THREADS")
     if cap is not None:
         try:
@@ -93,18 +95,12 @@ def _workers():
             raise click.UsageError(f"DISPGIBBS_THREADS must be an integer, got {cap!r}")
         if cap < 1:
             raise click.UsageError("DISPGIBBS_THREADS must be >= 1")
-        raw = min(raw, cap)
-    return raw
 
 
 def _map_ordered(fn, items):
-    """Apply fn over items preserving order, threading when allowed."""
-    items = list(items)
-    w = _workers()
-    if w == 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
+    """Apply fn over items in order."""
+    _check_threads()
+    return [fn(it) for it in items]
 
 
 def _emit(text, output):

@@ -116,7 +116,7 @@ def _phase_exponent(omega, s, z):
     return (1j * z * s - 1j * omega(z)).real
 
 
-def _ray_for_end(omega, s, anchor, want_right):
+def _ray_for_end(omega, exponent, anchor, want_right):
     """Pick the decay direction giving the fastest kill past the bend point."""
     n = omega.degree
     best = None
@@ -127,7 +127,7 @@ def _ray_for_end(omega, s, anchor, want_right):
         if not want_right and c > -0.05:
             continue
         probe = anchor + 3.0 * cmath.exp(1j * th)
-        val = _phase_exponent(omega, s, probe)
+        val = exponent(probe)
         if best is None or val < best[1]:
             best = (th, val)
     if best is None:
@@ -257,7 +257,7 @@ def _adjacent_valleys(alpha, dirs):
     return below, above
 
 
-def direct_contour(omega, m, s, pad=1.3, order=64, phase_budget=120.0):
+def direct_contour(omega, m, s_lo, s_hi=None, pad=1.3, order=64, phase_budget=120.0):
     """Bent pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
 
     omega must already have t folded in (t=1).  The bend radius sits outside
@@ -265,25 +265,37 @@ def direct_contour(omega, m, s, pad=1.3, order=64, phase_budget=120.0):
     terms compete with the leading one, so only decaying tails are cut.
     The oscillatory stretch [-a, a] is split so each segment holds a bounded
     number of radians of phase.
+
+    One contour serves every s in [s_lo, s_hi] (s_hi defaults to s_lo): the
+    log-magnitude Re(izs - i omega(z)) is affine in s, so the rays, the
+    reference level and the tail march take its maximum over the two ends,
+    and the bend radius and the phase knots take max |s|.
     """
+    if s_hi is None:
+        s_hi = s_lo
+    s_abs = max(abs(s_lo), abs(s_hi))
     n = omega.degree
     wn = abs(omega.leading)
-    r_saddle = (abs(s) / (n * wn)) ** (1.0 / (n - 1)) if s else 0.0
+    r_saddle = (s_abs / (n * wn)) ** (1.0 / (n - 1)) if s_abs else 0.0
     r_dom = 0.0
     for j, c in enumerate(omega.coeffs[:-1]):
         if c != 0:
             r_dom = max(r_dom, (4.0 * abs(c) / wn) ** (1.0 / (n - j)))
     a = pad * max(1.0, r_saddle, r_dom)
 
-    th_r = _ray_for_end(omega, s, a, True)
-    th_l = _ray_for_end(omega, s, -a, False)
-    ref = max(0.0, _phase_exponent(omega, s, 0.001j))
+    def exponent(z):
+        # the s-term -s Im(z) peaks over [s_lo, s_hi] at the end Im(z) selects
+        return _phase_exponent(omega, s_lo if z.imag >= 0 else s_hi, z)
+
+    th_r = _ray_for_end(omega, exponent, a, True)
+    th_l = _ray_for_end(omega, exponent, -a, False)
+    ref = max(0.0, exponent(0.001j))
 
     def logmag(z):
-        return _phase_exponent(omega, s, z) - ref
+        return exponent(z) - ref
 
-    br_r = _ray_breaks(omega, s, logmag, a, th_r, TAIL_DROP, phase_budget)
-    br_l = _ray_breaks(omega, s, logmag, -a, th_l, TAIL_DROP, phase_budget)
+    br_r = _ray_breaks(omega, s_abs, logmag, a, th_r, TAIL_DROP, phase_budget)
+    br_l = _ray_breaks(omega, s_abs, logmag, -a, th_l, TAIL_DROP, phase_budget)
 
     segs = []
     e_l = cmath.exp(1j * th_l)
@@ -292,12 +304,12 @@ def direct_contour(omega, m, s, pad=1.3, order=64, phase_budget=120.0):
 
     if m >= 0:
         radius = min(0.5, a / 4.0)
-        cuts = _phase_knots(omega, s, radius, a, phase_budget)
+        cuts = _phase_knots(omega, s_abs, radius, a, phase_budget)
         segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
         segs += _arc(radius, max(16, order // 2))
         segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
     else:
-        cuts = _phase_knots(omega, s, 0.0, a, phase_budget)
+        cuts = _phase_knots(omega, s_abs, 0.0, a, phase_budget)
         segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
         segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .quadrature import integrate_segment
-from .special import eval_I
+from .quadrature import clenshaw_curtis_rule, integrate_segment
+from .special import eval_I, eval_I_grid  # noqa: F401  (perfbench/tracing.py wraps gibbs.eval_I)
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+CHEB_POINTS = 33   # interpolation points per refinement bracket
 
 
 @lru_cache(maxsize=1)
@@ -49,31 +50,33 @@ class OvershootReport:
     arg_sup_re: float    # y location of the real-part maximum
 
 
-def _golden_max(f, a, b, tol=1e-8):
-    """Derivative-free maximum of f on [a, b] to width tol; returns (x, f(x))."""
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _cheb_argmax(values):
+    """Argmax on [-1, 1] of the Chebyshev interpolant through `values`.
+
+    `values` sit at the descending Chebyshev points cos(pi k / N).  The
+    candidates are the two ends and the roots of the interpolant's
+    derivative (colleague-matrix eigenvalues) whose real part lies in
+    [-1, 1]; taking the real part of every root keeps a nearly double
+    critical point, and the best candidate wins on the interpolant itself.
+    """
+    x = clenshaw_curtis_rule(len(values) - 1)[0]
+    coef = chebyshev.chebfit(x, values, len(values) - 1)
+    crit = chebyshev.chebroots(chebyshev.chebder(coef)).real
+    cand = np.concatenate(([-1.0, 1.0], crit[np.abs(crit) <= 1.0]))
+    return float(cand[np.argmax(chebyshev.chebval(cand, coef))])
 
 
 def overshoot(n, sigma=1.0, t=1.0):
     """Extrema of G_n(y,t) = I_{sigma k^n, 0}(y, t) + 1 over y.
 
     Coarse 0.1-step grid on [-L, L] (L = max(10, 2n), everything scaled by
-    the similarity length (|sigma| t)^{1/n}), then golden-section refinement
-    around each grid extremum.  The six extremal values are t-independent;
-    the reported location arg_sup_re scales with the query t.
+    the similarity length (|sigma| t)^{1/n}).  Each of the six targets
+    (+-Re G, +-Im G, +-|G|^2; |G| itself has a kink at a zero of G) is then
+    interpolated on CHEB_POINTS Chebyshev points over the two grid steps
+    around its grid extremum, the interpolant's maximum is located, and G
+    is evaluated there.  Every stage is one eval_I_grid batch.  The six
+    extremal values are t-independent; the reported location arg_sup_re
+    scales with the query t.
     """
     n = int(n)
     if n < 2:
@@ -82,41 +85,38 @@ def overshoot(n, sigma=1.0, t=1.0):
     u = (abs(sigma) * t) ** (1.0 / n)
     L = max(10.0, 2.0 * n)
     ys = np.arange(-L, L + 1e-12, 0.1) * u
-    vals = np.array([eval_I(omega, 0, float(y), t) for y in ys]) + 1.0
+
+    def profile(y):
+        return eval_I_grid(omega, 0, y, t) + 1.0
 
     targets = {
-        "sup_re": lambda y: eval_I(omega, 0, y, t).real + 1.0,
-        "inf_re": lambda y: -(eval_I(omega, 0, y, t).real + 1.0),
-        "sup_im": lambda y: (eval_I(omega, 0, y, t)).imag,
-        "inf_im": lambda y: -(eval_I(omega, 0, y, t)).imag,
-        "sup_abs": lambda y: abs(eval_I(omega, 0, y, t) + 1.0),
-        "inf_abs": lambda y: -abs(eval_I(omega, 0, y, t) + 1.0),
+        "sup_re": lambda g: g.real, "inf_re": lambda g: -g.real,
+        "sup_im": lambda g: g.imag, "inf_im": lambda g: -g.imag,
+        "sup_abs": lambda g: np.abs(g) ** 2, "inf_abs": lambda g: -np.abs(g) ** 2,
     }
-    grids = {
-        "sup_re": vals.real, "inf_re": -vals.real,
-        "sup_im": vals.imag, "inf_im": -vals.imag,
-        "sup_abs": np.abs(vals), "inf_abs": -np.abs(vals),
-    }
+    vals = profile(ys)
+    best = [int(np.argmax(f(vals))) for f in targets.values()]
+    brackets = [(ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]) for i in best]
+
+    def in_bracket(k, x):   # [-1, 1] -> bracket k
+        lo, hi = brackets[k]
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+
+    cheb = clenshaw_curtis_rule(CHEB_POINTS - 1)[0]
+    near = profile(np.concatenate([in_bracket(k, cheb) for k in range(len(targets))]))
+    near = near.reshape(len(targets), CHEB_POINTS)
+    xs = np.array([in_bracket(k, _cheb_argmax(f(g)))
+                   for k, (f, g) in enumerate(zip(targets.values(), near))])
+    at = profile(xs)
+
     out = {}
-    loc = {}
-    for key, f in targets.items():
-        g = grids[key]
-        i = int(np.argmax(g))
-        lo = ys[max(i - 1, 0)]
-        hi = ys[min(i + 1, len(ys) - 1)]
-        x, fx = _golden_max(lambda y: f(float(y)), float(lo), float(hi),
-                            tol=1e-8 * max(u, 1e-30))
-        if fx < g[i]:          # refinement must never lose to the grid
-            x, fx = float(ys[i]), float(g[i])
-        out[key] = float(fx)
-        loc[key] = float(x)
-    return OvershootReport(
-        n=n, sigma=sigma,
-        sup_re=out["sup_re"], inf_re=-out["inf_re"],
-        sup_im=out["sup_im"], inf_im=-out["inf_im"],
-        sup_abs=out["sup_abs"], inf_abs=-out["inf_abs"],
-        arg_sup_re=loc["sup_re"],
-    )
+    for key, f, i, x, g in zip(targets, targets.values(), best, xs, at):
+        if f(g) < f(vals[i]):     # refinement must never lose to the grid
+            x, g = ys[i], vals[i]
+        out[key] = float({"re": g.real, "im": g.imag, "abs": abs(g)}[key[4:]])
+        if key == "sup_re":
+            arg_sup_re = float(x)
+    return OvershootReport(n=n, sigma=sigma, arg_sup_re=arg_sup_re, **out)
 
 
 def overshoot_table(n_list, sigma=1.0, t=1.0):

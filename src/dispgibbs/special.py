@@ -16,7 +16,9 @@ so only the shape s = y/u matters.  Small |s| is handled on a bent version
 of the defining contour ("direct"); large |s| through the saddle-point
 system of the rescaled phase ("descent"), which keeps relative accuracy even
 when the answer is 1e-100 of the integrand scale.  t = 0 is exact:
-I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.
+I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  A whole grid of y at
+one (omega, m, t) goes through eval_I_grid: the direct route with one
+contour and one adaptive quadrature shared by every point.
 """
 
 import cmath
@@ -32,11 +34,12 @@ from .dispersion import (
     normalize,
     scaled_phase,
 )
-from .quadrature import NonFinite, integrate_contour
+from .quadrature import NoConvergence, NonFinite, integrate_contour
 
 __all__ = [
     "SpecialFunctionQuery",
     "eval_I",
+    "eval_I_grid",
     "eval_E",
     "eval_kernel",
     "residue_part",
@@ -111,16 +114,27 @@ def _poly_desc(omega):
 
 
 def _direct_core(can, m, s, tol):
+    """Direct-route value at the shape s, or one value per row of a (points, 1)
+    column s of shapes, all on one contour built for the range of s.
+
+    Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
+    whole column as one (points, nodes) matrix, with a single exp of the
+    combined phase so that every point overflows exactly where it would
+    alone.
+    """
     desc = _poly_desc(can)
     two_pi = 2.0 * math.pi
 
     def f(z):
-        val = np.exp(1j * z * s - 1j * np.polyval(desc, z))
+        val = 1j * z * s              # in place from here: the batch is large
+        val -= 1j * np.polyval(desc, z)
+        np.exp(val, out=val)
         if m >= 0:
-            val = val / (1j * z) ** (m + 1)
-        return val / two_pi
+            val /= (1j * z) ** (m + 1)
+        val /= two_pi
+        return val
 
-    cont = direct_contour(can, m, s)
+    cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         return integrate_contour(f, cont, tol=tol)
 
@@ -185,7 +199,8 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
     method:
       auto    -- descent when |y|/(|omega_n| t)^(1/n) >= 4 and the saddle
                  geometry is healthy, otherwise direct; degenerate saddle
-                 configurations fall back to direct automatically.
+                 configurations and descent quadrature that does not
+                 converge fall back to direct automatically.
       direct  -- bent defining contour only.
       descent -- saddle-point system only (raises DegeneratePhase when the
                  stationary points are unusable).
@@ -204,16 +219,37 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
     can, s, u = _canonical(omega, y, t)
     scale = factor * u ** m
 
-    if method == "direct":
-        return scale * _direct_core(can, m, s, tol)
     if method == "descent":
         return scale * _descent_core(can, m, s, tol, guarded=False)
-    if abs(s) >= DESCENT_THRESHOLD:
+    if method == "auto" and abs(s) >= DESCENT_THRESHOLD:
         try:
             return scale * _descent_core(can, m, s, tol, guarded=True)
-        except DegeneratePhase:
+        except (DegeneratePhase, NoConvergence):
             pass
     return scale * _direct_core(can, m, s, tol)
+
+
+def eval_I_grid(omega, m, ys, t, tol=QUAD_TOL):
+    """Evaluate I_m(y, t) on the direct route at every y of a 1-D grid.
+
+    The whole grid shares one direct contour, built for the range of its
+    shapes s = y/u, and one adaptive quadrature in which every point must
+    pass the convergence test of each segment.  A one-point grid gives
+    exactly eval_I(omega, m, y, t, method="direct").  Needs t > 0: at t = 0
+    there is no contour, only eval_I's closed form.
+    """
+    omega = normalize(omega)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1 or ys.size == 0:
+        raise ValueError("ys must be a non-empty 1-D grid")
+    if not t > 0:
+        raise ValueError("eval_I_grid needs t > 0")
+    for y in ys:
+        SpecialFunctionQuery(omega, m, float(y), float(t), "direct").validate()
+    t = float(t)
+    factor = cmath.exp(-1j * omega.phase_rate * t) if omega.phase_rate else 1.0
+    can, s, u = _canonical(omega, ys - omega.drift * t, t)
+    return factor * u ** m * _direct_core(can, m, s[:, None], tol)
 
 
 def eval_E(n, m, sigma, s):

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import airy, sici, wofz
 
-from dispgibbs import (fourier_gibbs_reference, overshoot, overshoot_table,
+from dispgibbs import (eval_I_grid, fourier_gibbs_reference, overshoot,
+                       overshoot_table, quadrature, special,
                        wilbraham_gibbs_constant)
 
 from _frozen import GIBBS_CONSTANT
@@ -114,3 +115,56 @@ def test_fourier_reference():
     assert np.max(np.abs(left - fourier_gibbs_reference(50, x))) == 0.0
     with pytest.raises(ValueError):
         fourier_gibbs_reference(0, [0.0])
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_overshoot_refinement_never_loses_to_the_grid(n, report3):
+    rep = report3 if n == 3 else overshoot(n)
+    L = max(10.0, 2.0 * n)
+    vals = eval_I_grid({n: 1.0}, 0, np.arange(-L, L + 1e-12, 0.1), 1.0) + 1.0
+    assert rep.sup_re >= vals.real.max() and rep.inf_re <= vals.real.min()
+    assert rep.sup_im >= vals.imag.max() and rep.inf_im <= vals.imag.min()
+    assert rep.sup_abs >= np.abs(vals).max() and rep.inf_abs <= np.abs(vals).min()
+    if n == 3:
+        # G_3 stays positive: its smallest modulus is the smallest real part,
+        # at the decaying end of the grid
+        assert rep.inf_abs == rep.inf_re > 0
+    else:
+        # the profile crosses zero; refining |G|^2 (smooth there, unlike |G|)
+        # lands on the zero
+        assert rep.inf_abs < 1e-10
+
+
+def test_batched_work_goes_through_the_module_hooks(monkeypatch):
+    # profilers and work budgets wrap these three names where the package
+    # looks them up; batched evaluation must build and integrate through them
+    contours, sums, rules = [], [], []
+    build, integrate, rule = (special.direct_contour, special.integrate_contour,
+                              quadrature.integrate_segment)
+
+    def counted_build(*args, **kwargs):
+        contours.append(build(*args, **kwargs))
+        return contours[-1]
+
+    def counted_integrate(f, contour, **kwargs):
+        sums.append(contour)
+        return integrate(f, contour, **kwargs)
+
+    def counted_rule(f, start, end, order):
+        rules.append((start, end))
+        return rule(f, start, end, order)
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("batched evaluation built a descent contour")
+
+    monkeypatch.setattr(special, "direct_contour", counted_build)
+    monkeypatch.setattr(special, "integrate_contour", counted_integrate)
+    monkeypatch.setattr(special, "descent_system", no_descent)
+    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+
+    eval_I_grid({3: 1.0}, 0, np.linspace(-8.0, 8.0, 33), 1.0)
+    overshoot(3)
+    assert len(contours) == 1 + 3    # the grid; coarse, brackets, argmaxes
+    assert sums == contours
+    segments = {(sg.start, sg.end) for c in contours for sg in c.segments}
+    assert set(rules) == segments

@@ -85,3 +85,17 @@ def test_no_convergence_carries_estimates():
     assert info.value.previous is not None
     # the estimates are still decent approximations of the true value 1
     assert abs(info.value.last - 1.0) < 1e-2
+
+
+def test_batched_rows_each_converge():
+    # one row per point: an easy and a 60-radian integrand share every rule,
+    # and the segment is only accepted once both rows have settled
+    k = np.array([1.0, 60.0])
+    seg = Segment(-1.0, 1.0, 8)
+    val = integrate_contour(lambda z: np.exp(1j * k[:, None] * z), Contour((seg,), label="t"))
+    assert val.shape == (2,)
+    assert np.all(np.abs(val - 2.0 * np.sin(k) / k) < 1e-10)
+    est, fmax = integrate_segment(lambda z: np.exp(1j * k[:, None] * z), -1.0, 1.0, 128)
+    assert est.shape == fmax.shape == (2,)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        integrate_segment(lambda z: np.stack([z, 1.0 / (z - 0.5)]), 0.0, 1.0, 16)

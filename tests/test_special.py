@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import airy, erf
 
-from dispgibbs import (asymptotic_I, eval_E, eval_I, eval_kernel, normalize,
-                       ode_residual, residue_part)
+from dispgibbs import (asymptotic_I, eval_E, eval_I, eval_I_grid, eval_kernel,
+                       normalize, ode_residual, residue_part)
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL
 
@@ -233,3 +233,55 @@ def test_rescale_consistency():
     lhs = eval_I(om, 1, y, t)
     rhs = t ** (1 / 3) * eval_I(rescaled(om, t), 1, y * t ** (-1 / 3), 1.0)
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_auto_falls_back_to_direct_when_descent_does_not_converge():
+    # for k^5 the descent route does not converge near s = 34.5; auto must
+    # answer with the direct value, which satisfies the ODE identity
+    om = normalize({5: 1})
+    for m in (0, 1):
+        assert eval_I(om, m, 34.5, 1.0) == eval_I(om, m, 34.5, 1.0, method="direct")
+        assert ode_residual(om, m, 34.5, 1.0, h=1e-2) < 1e-5
+
+
+def test_eval_I_grid_one_point_is_direct():
+    for coeffs, m, y, t in [({3: 1}, 0, 2.5, 1.0), ({2: -1j}, 1, -3.0, 0.4),
+                            ({4: 1, 1: 0.5, 0: 0.2}, -1, 0.7, 2.0),
+                            ({3: -1, 2: -0.5j}, 2, -6.0, 1e-3)]:
+        om = normalize(coeffs)
+        got = eval_I_grid(om, m, [y], t)
+        assert got.shape == (1,)
+        assert got[0] == eval_I(om, m, y, t, method="direct"), (coeffs, m, y, t)
+
+
+GRID_SYMBOLS = {"schro": {2: 1}, "heat": {2: -1j}, "airyP": {3: 1},
+                "airyM": {3: -1}, "damped3": {3: 1, 2: -0.5j},
+                "drift3": {3: 1, 1: 0.8, 0: 0.3 - 0.2j}}
+
+
+@pytest.mark.parametrize("coeffs", GRID_SYMBOLS.values(), ids=GRID_SYMBOLS.keys())
+def test_eval_I_grid_matches_pointwise_direct(coeffs):
+    # the grids span both signs of s = (y - drift t)/u, so one shared contour
+    # has to serve both ends (for k^2 at s = +-10 a contour built for one end
+    # leaves the other end's tail far from decayed)
+    om = normalize(coeffs)
+    for t in (1e-3, 1.0, 4.0):
+        u = (abs(om.leading) * t) ** (1.0 / om.degree)
+        ys = np.linspace(-10.0, 10.0, 9) * u + om.drift * t
+        for m in (-1, 0, 1, 2):
+            got = eval_I_grid(om, m, ys, t)
+            want = np.array([eval_I(om, m, float(y), t, method="direct") for y in ys])
+            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), (coeffs, t, m)
+
+
+def test_eval_I_grid_validation():
+    with pytest.raises(ValueError):
+        eval_I_grid(HEAT, 0, [], 1.0)
+    with pytest.raises(ValueError):
+        eval_I_grid(HEAT, 0, [[0.0, 1.0]], 1.0)
+    with pytest.raises(ValueError):
+        eval_I_grid(HEAT, -2, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        eval_I_grid(HEAT, 0, [-1.0, 1.0], 0.0)
+    with pytest.raises(ValueError):
+        eval_I_grid(HEAT, 0, [0.0, np.inf], 1.0)
