@@ -19,13 +19,10 @@ import sys
 import click
 import numpy as np
 
-from .dispersion import (DegeneratePhase, InvalidDispersion, normalize,
-                         parse_omega)
+from .dispersion import DegeneratePhase, InvalidDispersion, parse_omega
 from .quadrature import NoConvergence, NonFinite
-from .special import eval_I, eval_kernel, ode_residual
-from .contour import descent_system, direct_contour, pole_avoiding_contour
-from .dispersion import scaled_phase
-from . import special as _special
+from .special import _evaluate, eval_I, eval_kernel, ode_residual
+from .contour import pole_avoiding_contour
 from .ivp import PiecewisePolynomialIC, box, smoothed_box, solve, tent
 from .gibbs import overshoot_table, wilbraham_gibbs_constant
 
@@ -53,9 +50,7 @@ def _parse_grid(text):
 
 def _parse_omega_opt(text):
     try:
-        om = parse_omega(text)
-        normalize(om)
-        return om
+        return parse_omega(text)
     except (InvalidDispersion, ValueError) as exc:
         raise click.UsageError(f"bad --omega {text!r}: {exc}")
 
@@ -95,12 +90,6 @@ def _check_threads():
             raise click.UsageError(f"DISPGIBBS_THREADS must be an integer, got {cap!r}")
         if cap < 1:
             raise click.UsageError("DISPGIBBS_THREADS must be >= 1")
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items in order."""
-    _check_threads()
-    return [fn(it) for it in items]
 
 
 def _emit(text, output):
@@ -147,13 +136,9 @@ def eval_cmd(omega, m, t, ygrid, method, fmt, output):
     """Evaluate I_{omega,m}(y, t) over a y grid."""
     om = _parse_omega_opt(omega)
     ys = _parse_grid(ygrid)
-
-    def one(y):
-        return eval_I(om, m, float(y), t, method=method)
-
     try:
-        normalize(om)
-        vals = _map_ordered(one, ys)
+        _check_threads()
+        vals = [eval_I(om, m, float(y), t, method=method) for y in ys]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NUMERICAL_ERRORS as exc:
@@ -188,10 +173,9 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
 
     rows = []
     for t in ts:
-        def one(x):
-            return solve(data, om, float(x), t)
         try:
-            vals = _map_ordered(one, xs)
+            _check_threads()
+            vals = [solve(data, om, float(x), t) for x in xs]
         except ValueError as exc:
             raise click.UsageError(str(exc))
         except NUMERICAL_ERRORS as exc:
@@ -213,12 +197,9 @@ def kernel_cmd(omega, t, xgrid, fmt, output):
     """Fundamental solution K_t(x) = I_{omega,-1}(x, t)."""
     om = _parse_omega_opt(omega)
     xs = _parse_grid(xgrid)
-
-    def one(x):
-        return eval_kernel(om, float(x), t)
-
     try:
-        vals = _map_ordered(one, xs)
+        _check_threads()
+        vals = [eval_kernel(om, float(x), t) for x in xs]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NUMERICAL_ERRORS as exc:
@@ -276,7 +257,11 @@ def gibbs_cmd(nlist, sigma, fmt, output):
               type=click.Choice(["auto", "direct", "descent", "detour"]))
 @click.option("--output", default="-", show_default=True)
 def contour_cmd(omega, m, y, t, kind, output):
-    """Integration-path segments as JSON [{re0, im0, re1, im1, order}]."""
+    """Integration-path segments as JSON [{re0, im0, re1, im1, order}].
+
+    auto, direct and descent print the contours eval_I integrates for the
+    query with that method; detour prints the undeformed defining path.
+    """
     om = _parse_omega_opt(omega)
     try:
         if kind == "detour":
@@ -284,21 +269,7 @@ def contour_cmd(omega, m, y, t, kind, output):
         else:
             if t <= 0:
                 raise click.UsageError("contour construction needs t > 0")
-            rel = normalize(om)
-            can, s, _ = _special._canonical(rel, y - rel.drift * t, t)
-            if kind in ("auto", "descent") and abs(s) >= _special.DESCENT_THRESHOLD:
-                try:
-                    sysd = descent_system(scaled_phase(can, s, 1.0))
-                    contours = list(sysd.contours)
-                except DegeneratePhase:
-                    if kind == "descent":
-                        raise
-                    contours = [direct_contour(can, m, s)]
-            elif kind == "descent":
-                raise DegeneratePhase(
-                    f"|s| = {abs(s):.3g} below the descent threshold")
-            else:
-                contours = [direct_contour(can, m, s)]
+            _, contours = _evaluate(om, m, y, t, method=kind)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NUMERICAL_ERRORS as exc:

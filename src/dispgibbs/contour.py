@@ -51,25 +51,11 @@ class Segment:
     end: complex
     order: int = 64  # initial Clenshaw-Curtis order, adaptively doubled
 
-    @property
-    def length(self):
-        return abs(self.end - self.start)
-
-    @property
-    def direction(self):
-        d = self.end - self.start
-        return d / abs(d)
-
 
 @dataclass(frozen=True)
 class Contour:
     segments: tuple
     label: str = ""
-
-    def points(self):
-        pts = [self.segments[0].start]
-        pts += [s.end for s in self.segments]
-        return pts
 
 
 def _arc(radius, order):
@@ -79,19 +65,15 @@ def _arc(radius, order):
     return [Segment(complex(a), complex(b), order) for a, b in zip(pts, pts[1:])]
 
 
-def pole_avoiding_contour(radius=0.5, truncation=40.0, order=64, detour=True):
+def pole_avoiding_contour(radius=0.5, truncation=40.0, order=64):
     """Real axis from -T to T with an upper semicircular detour around 0."""
     if not 0 < radius < 1:
         raise ValueError("detour radius must satisfy 0 < r < 1")
     if truncation <= 1:
         raise ValueError("truncation must exceed 1")
-    segs = []
-    if detour:
-        segs.append(Segment(complex(-truncation), complex(-radius), order))
-        segs += _arc(radius, max(16, order // 2))
-        segs.append(Segment(complex(radius), complex(truncation), order))
-    else:
-        segs.append(Segment(complex(-truncation), complex(truncation), order))
+    segs = [Segment(complex(-truncation), complex(-radius), order)]
+    segs += _arc(radius, max(16, order // 2))
+    segs.append(Segment(complex(radius), complex(truncation), order))
     return Contour(tuple(segs), label="pole-avoiding")
 
 
@@ -325,10 +307,6 @@ class DescentSystem:
     points: tuple            # stationary points, counterclockwise
     angles: tuple            # central segment direction at each point
     contours: tuple          # one three-segment Contour per point
-
-    @property
-    def big_x(self):
-        return self.phase.big_x
 
 
 def _central_angle(phi2):

@@ -21,7 +21,6 @@ W'(z) = 1; the ones in the closed upper half plane carry the asymptotics.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +29,8 @@ __all__ = [
     "IllPosed",
     "DegeneratePhase",
     "DispersionRelation",
+    "polyval",
+    "polyder",
     "normalize",
     "parse_omega",
     "format_omega",
@@ -55,6 +56,23 @@ class DegeneratePhase(RuntimeError):
     """Stationary-point structure unusable (collisions, wrong count, ...)."""
 
 
+def polyval(coeffs, z):
+    """sum_j coeffs[j] z^j by Horner's rule, ascending coefficients; z may be
+    a scalar or an array (on arrays, the same arithmetic as numpy's polyval)."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def polyder(coeffs, order=1):
+    """Ascending coefficients of the order-th derivative, as a tuple."""
+    cs = tuple(coeffs)
+    for _ in range(order):
+        cs = tuple(j * c for j, c in enumerate(cs))[1:]
+    return cs
+
+
 @dataclass(frozen=True)
 class DispersionRelation:
     """Normalized dispersion relation: coeffs[j] = omega_j, coeffs[0:2] == 0."""
@@ -73,21 +91,7 @@ class DispersionRelation:
 
     def __call__(self, k):
         """omega(k) without the stripped drift/phase terms; k may be an array."""
-        return np.polyval(self._desc(), k)
-
-    def full(self, k):
-        """omega(k) including drift and phase_rate."""
-        return self(k) + self.drift * np.asarray(k) + self.phase_rate
-
-    def derivative_coeffs(self):
-        """Ascending coefficients of omega'(k) (drift excluded)."""
-        return tuple(j * c for j, c in enumerate(self.coeffs))[1:]
-
-    def _desc(self):
-        return np.array(self.coeffs[::-1], dtype=complex)
-
-    def describe(self):
-        return format_omega(self)
+        return polyval(self.coeffs, k)
 
 
 def _as_coeff_dict(coeffs):
@@ -231,31 +235,17 @@ class ScaledPhase:
         # equals omega_n sigma^n for any y, t
         return self.wcoeffs[-1]
 
-    def _wd(self, order):
-        return _poly_deriv(self.wcoeffs, order)
-
     def phi(self, z):
-        return 1j * (z - np.polyval(self._wd(0), z))
+        return 1j * (z - polyval(self.wcoeffs, z))
 
     def dphi(self, z):
-        return 1j * (1.0 - np.polyval(self._wd(1), z))
+        return 1j * (1.0 - polyval(polyder(self.wcoeffs), z))
 
     def d2phi(self, z):
-        return -1j * np.polyval(self._wd(2), z)
+        return -1j * polyval(polyder(self.wcoeffs, 2), z)
 
     def d3phi(self, z):
-        if self.degree < 3:
-            return np.zeros_like(np.asarray(z, dtype=complex))
-        return -1j * np.polyval(self._wd(3), z)
-
-
-@lru_cache(maxsize=512)
-def _poly_deriv(wcoeffs, order):
-    c = np.array(wcoeffs[::-1], dtype=complex)
-    for _ in range(order):
-        c = np.polyder(c)
-    c.setflags(write=False)
-    return c
+        return -1j * polyval(polyder(self.wcoeffs, 3), z)
 
 
 def scaled_phase(omega, y, t):
@@ -297,15 +287,14 @@ def stationary_points(phase, collision_tol=1e-6):
     UHP count differs from the non-degenerate expectation (the usual cause:
     |y|/t too small for the scaling to separate the saddles).
     """
-    coeffs = [j * c for j, c in enumerate(phase.wcoeffs)][1:]  # W', ascending
-    desc = np.array(coeffs[::-1], dtype=complex)
-    desc[-1] -= 1.0  # W'(z) - 1
-    roots = np.roots(desc)
-    # Newton polish on f = W'(z) - 1
-    dcoef = np.polyder(desc)
+    dw = polyder(phase.wcoeffs)
+    f = (dw[0] - 1.0,) + dw[1:]  # W'(z) - 1, ascending
+    roots = np.roots(np.array(f[::-1], dtype=complex))
+    # Newton polish on f
+    df = polyder(f)
     for _ in range(2):
-        fz = np.polyval(desc, roots)
-        dfz = np.polyval(dcoef, roots)
+        fz = polyval(f, roots)
+        dfz = polyval(df, roots)
         ok = np.abs(dfz) > 1e-30
         roots[ok] -= fz[ok] / dfz[ok]
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .dispersion import normalize
+from .dispersion import normalize, polyder, polyval
 from .special import eval_I
 
 
@@ -30,20 +30,6 @@ def _trimmed(coeffs):
     cs = [complex(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
-    return tuple(cs)
-
-
-def _poly_eval(coeffs, x):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(coeffs, m=1):
-    cs = list(coeffs)
-    for _ in range(m):
-        cs = [k * c for k, c in enumerate(cs)][1:]
     return tuple(cs)
 
 
@@ -90,15 +76,15 @@ class PiecewisePolynomialIC:
 
     def __call__(self, x):
         x = float(x)
-        return _poly_eval(self.piece_at(x), x)
+        return polyval(self.piece_at(x), x)
 
     def derivative_jump(self, c, m):
         """[q_o^{(m)}(c)] = right minus left derivative, exactly from coefficients."""
         i = self.breakpoints.index(c)
         left = self.pieces[i - 1] if i > 0 else ()
         right = self.pieces[i] if i < len(self.pieces) else ()
-        return (_poly_eval(_poly_deriv(right, m), c)
-                - _poly_eval(_poly_deriv(left, m), c))
+        return (polyval(polyder(right, m), c)
+                - polyval(polyder(left, m), c))
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomialIC):
@@ -183,8 +169,8 @@ def jump_decomposition(ic):
         left = ic.pieces[i - 1] if i > 0 else ()
         right = ic.pieces[i] if i < len(ic.pieces) else ()
         for m in range(top + 1):
-            lv = _poly_eval(_poly_deriv(left, m), c)
-            rv = _poly_eval(_poly_deriv(right, m), c)
+            lv = polyval(polyder(left, m), c)
+            rv = polyval(polyder(right, m), c)
             jump = rv - lv
             if abs(jump) > 1e-9 * (abs(lv) + abs(rv) + 1.0):
                 entries.append((c, m, jump))
@@ -240,18 +226,18 @@ def taylor_away(ic, omega, x, t, order):
         for r, w in enumerate(symbol):
             if w == 0:
                 continue
-            term = [w * (-1j) ** r * c for c in _poly_deriv(coeffs, r)]
+            term = [w * (-1j) ** r * c for c in polyder(coeffs, r)]
             for k, c in enumerate(term):
                 out[k] += c
         return _trimmed(out)
 
-    total = _poly_eval(piece, x)
+    total = polyval(piece, x)
     cur = piece
     fac = 1.0
     for j in range(1, order + 1):
         cur = apply_symbol(cur)
         fac *= j
-        total += (-1j * t) ** j / fac * _poly_eval(cur, x)
+        total += (-1j * t) ** j / fac * polyval(cur, x)
     return total
 
 

@@ -37,7 +37,6 @@ from .dispersion import (
 from .quadrature import NoConvergence, NonFinite, integrate_contour
 
 __all__ = [
-    "SpecialFunctionQuery",
     "eval_I",
     "eval_I_grid",
     "eval_E",
@@ -53,30 +52,19 @@ ZETA_MAX = 40.0           # max tolerated cubic phase (radians) on a central seg
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpecialFunctionQuery:
-    omega: DispersionRelation
-    m: int
-    y: float
-    t: float
-    method: str = "auto"
-
-    def validate(self):
-        if not isinstance(self.m, int) or self.m < -1:
-            raise ValueError(f"m must be an integer >= -1, got {self.m!r}")
-        if not math.isfinite(self.y):
-            raise ValueError("y must be finite")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError("t must be finite and >= 0")
-        if self.t == 0 and self.m == -1:
-            raise ValueError("the fundamental solution has no value at t = 0")
-        if self.t == 0 and self.y == 0:
-            raise ValueError("I_m(0, 0) is undefined (jump point of the data)")
-        if self.method not in ("auto", "direct", "descent"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-    def evaluate(self):
-        return eval_I(self.omega, self.m, self.y, self.t, method=self.method)
+def _validate(m, y, t, method):
+    if not isinstance(m, int) or m < -1:
+        raise ValueError(f"m must be an integer >= -1, got {m!r}")
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
+    if t == 0 and m == -1:
+        raise ValueError("the fundamental solution has no value at t = 0")
+    if t == 0 and y == 0:
+        raise ValueError("I_m(0, 0) is undefined (jump point of the data)")
+    if method not in ("auto", "direct", "descent"):
+        raise ValueError(f"unknown method {method!r}")
 
 
 def residue_part(omega, m, y, t):
@@ -102,32 +90,35 @@ def residue_part(omega, m, y, t):
 
 
 def _canonical(omega, y, t):
-    """Fold t and |leading| into the variables: returns (omega_can, s, u)."""
+    """Fold the drift, the phase rate, t and |omega_n| out of a query, t > 0.
+
+    Returns (omega_can, s, u, factor) with
+    I_m[omega](y, t) = factor * u^m * I_m[omega_can](s, 1), where
+    u = (|omega_n| t)^(1/n), s = (y - omega_1 t)/u and
+    factor = exp(-i omega_0 t); y may be an array.
+    """
+    factor = cmath.exp(-1j * omega.phase_rate * t) if omega.phase_rate else 1.0
     n = omega.degree
     u = (abs(omega.leading) * t) ** (1.0 / n)
     coeffs = tuple(c * t / u ** j for j, c in enumerate(omega.coeffs))
-    return DispersionRelation(coeffs), y / u, u
-
-
-def _poly_desc(omega):
-    return np.array(omega.coeffs[::-1], dtype=complex)
+    return DispersionRelation(coeffs), (y - omega.drift * t) / u, u, factor
 
 
 def _direct_core(can, m, s, tol):
     """Direct-route value at the shape s, or one value per row of a (points, 1)
-    column s of shapes, all on one contour built for the range of s.
+    column s of shapes, all on one contour built for the range of s; returns
+    (value, contour).
 
     Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
     whole column as one (points, nodes) matrix, with a single exp of the
     combined phase so that every point overflows exactly where it would
     alone.
     """
-    desc = _poly_desc(can)
     two_pi = 2.0 * math.pi
 
     def f(z):
         val = 1j * z * s              # in place from here: the batch is large
-        val -= 1j * np.polyval(desc, z)
+        val -= 1j * can(z)
         np.exp(val, out=val)
         if m >= 0:
             val /= (1j * z) ** (m + 1)
@@ -136,7 +127,7 @@ def _direct_core(can, m, s, tol):
 
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return integrate_contour(f, cont, tol=tol)
+        return integrate_contour(f, cont, tol=tol), cont
 
 
 def _dist_to_origin(seg):
@@ -151,6 +142,7 @@ def _dist_to_origin(seg):
 
 
 def _descent_core(can, m, s, tol, guarded):
+    """Descent-route value at the shape s: returns (value, contours)."""
     if s == 0:
         raise DegeneratePhase("descent evaluation needs y != 0")
     phase = scaled_phase(can, s, 1.0)
@@ -190,7 +182,32 @@ def _descent_core(can, m, s, tol, guarded):
 
     sign = -1.0 if (phase.sigma < 0 and (m + 1) % 2 == 1) else 1.0  # sigma^(m+1)
     osc = sign * phase.scale ** (-m) * total
-    return residue_part(can, m, s, 1.0) + osc
+    return residue_part(can, m, s, 1.0) + osc, system.contours
+
+
+def _evaluate(omega, m, y, t, method, tol=QUAD_TOL):
+    """The one path from a query to its value: normalize, validate, the exact
+    t = 0 closed form or the canonical shape, then the route with its fallback.
+
+    Returns (value, contours integrated); the closed form integrates none.
+    """
+    omega = normalize(omega)
+    y, t = float(y), float(t)
+    _validate(m, y, t, method)
+    if t == 0.0:  # no drift, and exp(-i omega_0 t) = 1
+        return (0.0 if y > 0 else -((y ** m) / math.factorial(m))), ()
+
+    can, s, u, factor = _canonical(omega, y, t)
+    scale = factor * u ** m
+    if method == "descent" or (method == "auto" and abs(s) >= DESCENT_THRESHOLD):
+        try:
+            value, contours = _descent_core(can, m, s, tol, guarded=method == "auto")
+            return scale * value, contours
+        except (DegeneratePhase, NoConvergence):
+            if method == "descent":
+                raise
+    value, cont = _direct_core(can, m, s, tol)
+    return scale * value, (cont,)
 
 
 def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
@@ -205,28 +222,7 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
       descent -- saddle-point system only (raises DegeneratePhase when the
                  stationary points are unusable).
     """
-    omega = normalize(omega)
-    SpecialFunctionQuery(omega, m, float(y), float(t), method).validate()
-    y = float(y) - omega.drift * float(t)
-    t = float(t)
-    factor = cmath.exp(-1j * omega.phase_rate * t) if omega.phase_rate else 1.0
-
-    if t == 0.0:
-        if y > 0:
-            return 0.0 * factor
-        return factor * (-((y ** m) / math.factorial(m)))
-
-    can, s, u = _canonical(omega, y, t)
-    scale = factor * u ** m
-
-    if method == "descent":
-        return scale * _descent_core(can, m, s, tol, guarded=False)
-    if method == "auto" and abs(s) >= DESCENT_THRESHOLD:
-        try:
-            return scale * _descent_core(can, m, s, tol, guarded=True)
-        except (DegeneratePhase, NoConvergence):
-            pass
-    return scale * _direct_core(can, m, s, tol)
+    return _evaluate(omega, m, y, t, method, tol)[0]
 
 
 def eval_I_grid(omega, m, ys, t, tol=QUAD_TOL):
@@ -244,12 +240,11 @@ def eval_I_grid(omega, m, ys, t, tol=QUAD_TOL):
         raise ValueError("ys must be a non-empty 1-D grid")
     if not t > 0:
         raise ValueError("eval_I_grid needs t > 0")
-    for y in ys:
-        SpecialFunctionQuery(omega, m, float(y), float(t), "direct").validate()
     t = float(t)
-    factor = cmath.exp(-1j * omega.phase_rate * t) if omega.phase_rate else 1.0
-    can, s, u = _canonical(omega, ys - omega.drift * t, t)
-    return factor * u ** m * _direct_core(can, m, s[:, None], tol)
+    for y in ys:
+        _validate(m, float(y), t, "direct")
+    can, s, u, factor = _canonical(omega, ys, t)
+    return factor * u ** m * _direct_core(can, m, s[:, None], tol)[0]
 
 
 def eval_E(n, m, sigma, s):
@@ -285,12 +280,9 @@ def asymptotic_I(omega, m, y, t):
     omega = normalize(omega)
     if t <= 0:
         raise ValueError("asymptotics need t > 0")
-    y = float(y) - omega.drift * t
-    if y == 0:
+    can, s, u, factor = _canonical(omega, float(y), t)
+    if s == 0:
         raise ValueError("asymptotics need y != 0")
-    factor = cmath.exp(-1j * omega.phase_rate * t) if omega.phase_rate else 1.0
-
-    can, s, u = _canonical(omega, y, t)
     phase = scaled_phase(can, s, 1.0)
     system = descent_system(phase)
     X = phase.big_x

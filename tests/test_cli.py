@@ -167,3 +167,21 @@ def test_thread_count_does_not_change_bytes():
     four = run(*args, env={"DISPGIBBS_THREADS": "4"})
     assert one.exit_code == 0 and four.exit_code == 0
     assert one.output == four.output
+
+
+def test_contour_dump_prints_the_contours_eval_I_integrates():
+    # |s| = 34.5 for k^5 is past the descent threshold, but the descent
+    # quadrature does not converge there and eval_I falls back to direct
+    query = ("contour-dump", "--omega", "5:1", "--y", "34.5", "--t", "1")
+    auto = run(*query)
+    direct = run(*query, "--kind", "direct")
+    assert auto.exit_code == 0 and direct.exit_code == 0
+    assert auto.output == direct.output
+    assert eval_I({5: 1}, 0, 34.5, 1.0) == eval_I({5: 1}, 0, 34.5, 1.0,
+                                                 method="direct")
+    # below the threshold, --kind descent follows eval_I(method="descent")
+    descent = run("contour-dump", "--omega", "2:1", "--y", "1", "--t", "1",
+                  "--kind", "descent")
+    assert descent.exit_code == 0
+    assert len(json.loads(descent.output)) == 3      # one saddle, three segments
+    eval_I({2: 1}, 0, 1.0, 1.0, method="descent")

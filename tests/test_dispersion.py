@@ -4,6 +4,7 @@ import pytest
 from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion,
                        format_omega, normalize, parse_omega, rescaled,
                        scaled_phase, stationary_points)
+from dispgibbs.dispersion import polyder, polyval
 
 
 def test_normalize_strips_low_order_terms():
@@ -155,3 +156,20 @@ def test_parse_rejects_bad_input():
         parse_omega("2:1,2:3")      # duplicate degree
     with pytest.raises(ValueError):
         parse_omega("not a relation")
+
+
+@pytest.mark.parametrize("degree", range(2, 34))
+def test_polyval_and_polyder_match_numpy(degree):
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    coeffs[rng.random(degree + 1) < 0.3] = 0        # zero coefficients too
+    coeffs[-1] = 1.0 + rng.random()
+    coeffs = tuple(complex(c) for c in coeffs)
+    z = rng.normal(size=65) + 1j * rng.normal(size=65)
+    want = np.polyval(np.array(coeffs[::-1]), z)
+    assert polyval(coeffs, z).tobytes() == want.tobytes()
+    for order in (1, 2, 3):
+        want = np.polyder(np.array(coeffs[::-1]), order)
+        got = polyder(coeffs, order)
+        assert isinstance(got, tuple)
+        assert np.array_equal(np.array(got[::-1]), want)
