@@ -21,7 +21,7 @@ import numpy as np
 
 from .dispersion import DegeneratePhase, InvalidDispersion, parse_omega
 from .quadrature import NoConvergence, NonFinite
-from .special import _evaluate, eval_I, eval_kernel, ode_residual
+from .special import _evaluate, eval_I, eval_I_grid, ode_residual
 from .contour import pole_avoiding_contour
 from .ivp import PiecewisePolynomialIC, box, smoothed_box, solve, tent
 from .gibbs import overshoot_table, wilbraham_gibbs_constant
@@ -77,7 +77,7 @@ def _parse_ic(text):
 
 
 def _check_threads():
-    """Validate DISPGIBBS_THREADS; grids are mapped serially whatever it says.
+    """Validate DISPGIBBS_THREADS; grids run in batches on one thread whatever it says.
 
     A thread pool made grid sweeps slower, not faster, so the variable no
     longer changes anything; a bad value is still an argument error.
@@ -175,7 +175,7 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
     for t in ts:
         try:
             _check_threads()
-            vals = [solve(data, om, float(x), t) for x in xs]
+            vals = solve(data, om, xs, t)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         except NUMERICAL_ERRORS as exc:
@@ -199,7 +199,7 @@ def kernel_cmd(omega, t, xgrid, fmt, output):
     xs = _parse_grid(xgrid)
     try:
         _check_threads()
-        vals = [eval_kernel(om, float(x), t) for x in xs]
+        vals = eval_I_grid(om, -1, xs, t, method="auto")
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NUMERICAL_ERRORS as exc:

@@ -43,6 +43,7 @@ __all__ = [
 # drop in exp(Re X Phi) from the saddle to the tail ends; e^-45 ~ 2.9e-20
 TAIL_DROP = 45.0
 ARC_CHORDS = 8
+_CREST_PROBES = np.linspace(0.0, 1.0, 33)   # where descent tails are probed for ridges
 
 
 @dataclass(frozen=True)
@@ -374,8 +375,7 @@ def descent_system(phase, c0=6.0, order=96, tail_order=64):
         q_plus = zj + L_f * cmath.exp(1j * fwd)
         q_minus = zj + L_b * cmath.exp(1j * bwd)
         for a, b in ((p_plus, q_plus), (q_minus, p_minus)):
-            crest = max(logmag(a + (b - a) * uu)
-                        for uu in np.linspace(0.0, 1.0, 33))
+            crest = X * (np.max(phase.phi(a + (b - a) * _CREST_PROBES).real) - ref)
             if crest > 2.0:
                 raise DegeneratePhase("descent tail crosses a growth ridge")
         contours.append(Contour((

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .dispersion import normalize, polyder, polyval
-from .special import eval_I
+from .special import eval_I, eval_I_grid
 
 
 class NotAJump(ValueError):
@@ -185,11 +185,27 @@ def solve(ic, omega, x, t, method="auto"):
     parts of omega enter through the phase/drift handling inside eval_I.
     At t = 0 the sum telescopes back to the piece value, so x must then
     stay off the breakpoints (no canonical value exists there).
+
+    x may be a scalar or a 1-D array; for an array each jump's shifted
+    copies x - c are one eval_I_grid call (at t = 0, eval_I's closed form
+    point by point), and the result is one value per x.
     """
     om = normalize(omega)
-    total = 0j
+    if np.ndim(x) == 0:
+        total = 0j
+        for c, m, jump in jump_decomposition(ic):
+            total += jump * eval_I(om, m, x - c, t, method=method)
+        return total
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("x must be a scalar or a 1-D grid")
+    total = np.zeros(xs.shape, dtype=complex)
     for c, m, jump in jump_decomposition(ic):
-        total += jump * eval_I(om, m, x - c, t, method=method)
+        if t == 0:
+            vals = [eval_I(om, m, y, t, method=method) for y in xs - c]
+        else:
+            vals = eval_I_grid(om, m, xs - c, t, method=method)
+        total += jump * np.asarray(vals, dtype=complex)
     return total
 
 
@@ -264,7 +280,5 @@ def rescaled_profile(ic, omega, c, x_grid, t, method="auto"):
     h = (abs(om.leading) * t) ** (1.0 / n)
     q_c = solve(ic, om, c, t, method=method) - jump * eval_I(om, 0, 0.0, t,
                                                              method=method)
-    return np.array([
-        (solve(ic, om, c + float(x) * h, t, method=method) - q_c) / jump
-        for x in np.asarray(x_grid, dtype=float).ravel()
-    ])
+    xs = c + np.asarray(x_grid, dtype=float).ravel() * h
+    return (solve(ic, om, xs, t, method=method) - q_c) / jump

@@ -73,13 +73,19 @@ def integrate_segment(f, start, end, order):
 
     f returns one value per node, or one row of node values per point of a
     batch; the estimate and the integrand scale max|f| then come per row.
+    start and end may also be tuples with one endpoint per row (every row
+    its own segment, one rule for all of them); f then receives the
+    (rows, nodes) matrix of nodes.
     """
     nodes, weights = clenshaw_curtis_rule(order)
-    start = complex(start)
-    end = complex(end)
+    per_row = isinstance(start, tuple)
+    if per_row:
+        start, end = np.array(start, dtype=complex), np.array(end, dtype=complex)
+    else:
+        start, end = complex(start), complex(end)
     mid = 0.5 * (start + end)
     half = 0.5 * (end - start)
-    z = mid + half * nodes
+    z = mid[:, None] + half[:, None] * nodes if per_row else mid + half * nodes
     fz = np.ascontiguousarray(f(z), dtype=complex)
     if not np.isfinite(fz).all():
         raise NonFinite(f"integrand not finite on segment {start} -> {end}")
@@ -93,7 +99,7 @@ def _integrate_segment_adaptive(f, seg, tol, max_order):
     order = max(8, seg.order)
     if order % 2:
         order += 1
-    seglen = abs(seg.end - seg.start)
+    seglen = np.abs(np.subtract(seg.end, seg.start))
     prev = None
     val = None
     dprev = None
@@ -128,7 +134,10 @@ def integrate_contour(f, contour, tol=1e-10, max_order=2048):
 
     f must accept a complex ndarray of nodes and return complex values
     elementwise, or a (points, nodes) array for a batch of integrands, in
-    which case the result is one value per point.  Raises NoConvergence
+    which case the result is one value per point.  A batch may also give
+    every point its own segments: segment endpoints are then tuples with
+    one complex per point (tuples, so that a rule's endpoints stay
+    hashable for whoever wraps integrate_segment).  Raises NoConvergence
     (with the last two estimates attached) if some segment refuses to
     settle by max_order, NonFinite on nan/inf.
     """

@@ -17,8 +17,10 @@ of the defining contour ("direct"); large |s| through the saddle-point
 system of the rescaled phase ("descent"), which keeps relative accuracy even
 when the answer is 1e-100 of the integrand scale.  t = 0 is exact:
 I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  A whole grid of y at
-one (omega, m, t) goes through eval_I_grid: the direct route with one
-contour and one adaptive quadrature shared by every point.
+one (omega, m, t) goes through eval_I_grid, which takes each point's
+route as eval_I would and shares the work within a route: one direct
+contour for the direct points, and one quadrature rule per saddle segment
+for the descent points.
 """
 
 import cmath
@@ -27,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import descent_system, direct_contour
+from .contour import Contour, Segment, descent_system, direct_contour
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
     normalize,
+    polyval,
     scaled_phase,
 )
 from .quadrature import NoConvergence, NonFinite, integrate_contour
@@ -50,6 +53,7 @@ __all__ = [
 DESCENT_THRESHOLD = 4.0   # switch to saddle contours once |y|/u exceeds this
 ZETA_MAX = 40.0           # max tolerated cubic phase (radians) on a central segment
 QUAD_TOL = 1e-10
+POLE_TAIL = math.log(1e-4)  # log of the pole tail at order 1024 past which descent gives up
 
 
 def _validate(m, y, t, method):
@@ -130,19 +134,28 @@ def _direct_core(can, m, s, tol):
         return integrate_contour(f, cont, tol=tol), cont
 
 
-def _dist_to_origin(seg):
+def _nearest_to_origin(seg):
     a, b = seg.start, seg.end
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0:
-        return abs(a)
+        return a
     tt = -(a.real * d.real + a.imag * d.imag) / L2
     tt = min(1.0, max(0.0, tt))
-    return abs(a + tt * d)
+    return a + tt * d
 
 
-def _descent_core(can, m, s, tol, guarded):
-    """Descent-route value at the shape s: returns (value, contours)."""
+def _pole_rho(seg):
+    """Bernstein-ellipse parameter of the pole z = 0 for the segment: with
+    that pole the error of an N-node Clenshaw-Curtis rule decays like rho^-N."""
+    w = -(seg.start + seg.end) / (seg.end - seg.start)
+    r = cmath.sqrt(w * w - 1.0)
+    return max(abs(w + r), abs(w - r))
+
+
+def _descent_system(can, m, s, guarded):
+    """Descent contours at the shape s, once its geometry passes the guards:
+    returns (phase, system) or raises DegeneratePhase."""
     if s == 0:
         raise DegeneratePhase("descent evaluation needs y != 0")
     phase = scaled_phase(can, s, 1.0)
@@ -150,12 +163,23 @@ def _descent_core(can, m, s, tol, guarded):
     X = phase.big_x
 
     if m >= 0:
-        dmin = min(_dist_to_origin(seg) for c in system.contours for seg in c.segments)
+        dmin = min(abs(_nearest_to_origin(seg))
+                   for c in system.contours for seg in c.segments)
         zmin = min(abs(z) for z in system.points)
         if dmin < 1e-3:
             raise DegeneratePhase("descent contour passes through the pole")
         if guarded and dmin < 0.05 * max(zmin, 1e-6):
             raise DegeneratePhase("descent contour crowds the pole")
+        # a segment long against its distance to the pole cannot converge
+        # by the order cap: the rules of order 1024 and 2048 still differ
+        # by about rho^-1024 times the integrand next to the pole (here
+        # relative to its saddle value)
+        for zj, c in zip(system.points, system.contours):
+            ref = complex(phase.phi(zj)).real
+            for seg in c.segments:
+                near = X * (complex(phase.phi(_nearest_to_origin(seg))).real - ref)
+                if near - 1024.0 * math.log(_pole_rho(seg)) > POLE_TAIL:
+                    raise DegeneratePhase("descent segment too long for its distance to the pole")
     if guarded:
         for zj in system.points:
             phi2 = abs(complex(phase.d2phi(zj)))
@@ -163,26 +187,51 @@ def _descent_core(can, m, s, tol, guarded):
             zeta = X * abs(complex(phase.d3phi(zj))) * h ** 3 / 6.0
             if zeta > ZETA_MAX:
                 raise DegeneratePhase("saddles too close for quadratic descent scaling")
+    return phase, system
 
+
+def _descent_core(can, m, s, systems, tol):
+    """Descent-route values at the shapes s, one (phase, system) from
+    _descent_system per shape, all with the same number of saddles.
+
+    Saddle j's segments are integrated for every point at once: one rule
+    per segment serves all the points' copies of it, with the integrand
+    exp(X_p Phi_p(z) - c_p) / (iz)^(m+1) carrying each point's X, reference
+    level c and coefficients of W as one row of a (points, nodes) matrix;
+    a segment is accepted when every row passes.  One point is eval_I.
+    """
+    phases = [phase for phase, _ in systems]
+    X = np.array([phase.big_x for phase in phases])[:, None]
+    W = tuple(np.array(col)[:, None] for col in zip(*(ph.wcoeffs for ph in phases)))
     two_pi = 2.0 * math.pi
     total = 0j
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for zj, cont in zip(system.points, system.contours):
-            c_ref = X * complex(phase.phi(zj)).real
-            if c_ref > 700.0:
+        for j in range(len(systems[0][1].points)):
+            c_ref = np.array([phase.big_x * complex(phase.phi(system.points[j])).real
+                              for phase, system in systems])
+            if c_ref.max() > 700.0:
                 raise NonFinite("descent saddle magnitude overflows")
 
-            def g(z, _c=c_ref):
-                val = np.exp(X * phase.phi(z) - _c)
+            def g(z, _c=c_ref[:, None]):
+                val = np.exp(X * (1j * (z - polyval(W, z))) - _c)
                 if m >= 0:
                     val = val / (1j * z) ** (m + 1)
                 return val / two_pi
 
-            total += integrate_contour(g, cont, tol=tol) * math.exp(c_ref)
+            if len(systems) == 1:   # one point integrates its own contour
+                cont = systems[0][1].contours[j]
+            else:
+                cont = Contour(tuple(
+                    Segment(tuple(sg.start for sg in col), tuple(sg.end for sg in col),
+                            col[0].order)
+                    for col in zip(*(system.contours[j].segments for _, system in systems))))
+            total = total + integrate_contour(g, cont, tol=tol) * np.exp(c_ref)
 
-    sign = -1.0 if (phase.sigma < 0 and (m + 1) % 2 == 1) else 1.0  # sigma^(m+1)
-    osc = sign * phase.scale ** (-m) * total
-    return residue_part(can, m, s, 1.0) + osc, system.contours
+    # sigma^(m+1) s_f^(-m) per point
+    pref = np.array([(-1.0 if (ph.sigma < 0 and (m + 1) % 2 == 1) else 1.0)
+                     * ph.scale ** (-m) for ph in phases])
+    residue = np.array([residue_part(can, m, float(si), 1.0) for si in s])
+    return residue + pref * total
 
 
 def _evaluate(omega, m, y, t, method, tol=QUAD_TOL):
@@ -201,8 +250,8 @@ def _evaluate(omega, m, y, t, method, tol=QUAD_TOL):
     scale = factor * u ** m
     if method == "descent" or (method == "auto" and abs(s) >= DESCENT_THRESHOLD):
         try:
-            value, contours = _descent_core(can, m, s, tol, guarded=method == "auto")
-            return scale * value, contours
+            system = _descent_system(can, m, s, guarded=method == "auto")
+            return scale * _descent_core(can, m, [s], [system], tol)[0], system[1].contours
         except (DegeneratePhase, NoConvergence):
             if method == "descent":
                 raise
@@ -225,26 +274,63 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
     return _evaluate(omega, m, y, t, method, tol)[0]
 
 
-def eval_I_grid(omega, m, ys, t, tol=QUAD_TOL):
-    """Evaluate I_m(y, t) on the direct route at every y of a 1-D grid.
+def eval_I_grid(omega, m, ys, t, method="direct", tol=QUAD_TOL):
+    """Evaluate I_m(y, t) at every y of a 1-D grid, each point on the route
+    eval_I(omega, m, y, t, method) would take.
 
-    The whole grid shares one direct contour, built for the range of its
-    shapes s = y/u, and one adaptive quadrature in which every point must
-    pass the convergence test of each segment.  A one-point grid gives
-    exactly eval_I(omega, m, y, t, method="direct").  Needs t > 0: at t = 0
-    there is no contour, only eval_I's closed form.
+    Points are batched by route.  The direct points share one direct contour,
+    built for the range of their shapes s = y/u.  The descent points keep
+    their own saddle contours and guards, and those with the same number of
+    saddles share every quadrature rule (see _descent_core); under auto a
+    point whose descent geometry fails its guards joins the direct batch.
+    In every batch each point must pass the convergence test of each
+    segment.  A batch that raises NoConvergence or NonFinite is evaluated
+    again point by point through eval_I, so the grid answers or raises as
+    its points would alone; a one-point grid gives exactly eval_I.  Needs
+    t > 0: at t = 0 there is no contour, only eval_I's closed form.
     """
     omega = normalize(omega)
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.size == 0:
         raise ValueError("ys must be a non-empty 1-D grid")
-    if not t > 0:
-        raise ValueError("eval_I_grid needs t > 0")
     t = float(t)
     for y in ys:
-        _validate(m, float(y), t, "direct")
+        _validate(m, float(y), t, method)
+    if t == 0:
+        raise ValueError("eval_I_grid needs t > 0")
     can, s, u, factor = _canonical(omega, ys, t)
-    return factor * u ** m * _direct_core(can, m, s[:, None], tol)[0]
+    scale = factor * u ** m
+
+    direct, batches = [], {}   # batches: saddle count -> [(index, system)]
+    for i, si in enumerate(s):
+        if method == "direct" or (method == "auto" and abs(si) < DESCENT_THRESHOLD):
+            direct.append(i)
+            continue
+        try:
+            system = _descent_system(can, m, float(si), guarded=method == "auto")
+        except DegeneratePhase:
+            if method == "descent":
+                raise
+            direct.append(i)
+            continue
+        batches.setdefault(len(system[1].points), []).append((i, system))
+
+    out = np.empty(s.shape, dtype=complex)
+
+    def run(idx, batch):
+        try:
+            # scaled value by value, as eval_I scales its one value: numpy
+            # multiplies a complex array and a complex scalar differently
+            out[idx] = [scale * v for v in batch()]
+        except (NoConvergence, NonFinite):
+            out[idx] = [eval_I(omega, m, float(ys[i]), t, method, tol) for i in idx]
+
+    for rows in batches.values():
+        idx = [i for i, _ in rows]
+        run(idx, lambda: _descent_core(can, m, s[idx], [sy for _, sy in rows], tol))
+    if direct:
+        run(direct, lambda: _direct_core(can, m, s[direct][:, None], tol)[0])
+    return out
 
 
 def eval_E(n, m, sigma, s):

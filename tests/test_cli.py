@@ -4,7 +4,7 @@ import math
 import numpy as np
 from click.testing import CliRunner
 
-from dispgibbs import eval_I, eval_kernel, normalize, overshoot, solve, tent
+from dispgibbs import eval_I, eval_I_grid, normalize, overshoot, solve, tent
 from dispgibbs.cli import GIBBS_COLUMNS, main
 
 HEAT = normalize({2: -1j})
@@ -59,7 +59,7 @@ def test_kernel_values():
     lines = r.output.strip().split("\n")
     assert lines[0] == "x,re,im"
     x0 = [float(s) for s in lines[1].split(",")]
-    assert x0[1] == eval_kernel(HEAT, 0.0, 1.0).real
+    assert x0[1] == eval_I_grid(HEAT, -1, [0.0, 1.0], 1.0, method="auto")[0].real
     assert abs(x0[1] - 1 / (2 * math.sqrt(math.pi))) < 1e-13
 
 
@@ -71,10 +71,12 @@ def test_solve_matches_library(tmp_path):
     assert lines[0] == "t,x,re,im"
     assert len(lines) == 11
     from dispgibbs import box
-    for line in lines[1:]:
+    xs = np.linspace(-2, 2, 5)
+    wants = {t: solve(box(), HEAT, xs, t) for t in (0.01, 0.25)}
+    for i, line in enumerate(lines[1:]):
         t, x, re, im = (float(s) for s in line.split(","))
-        want = solve(box(), HEAT, x, t)
-        assert re == want.real and im == want.imag
+        want = wants[t][i % 5]
+        assert x == xs[i % 5] and re == want.real and im == want.imag
 
 
 def test_solve_ic_file_matches_builtin(tmp_path):

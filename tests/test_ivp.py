@@ -6,8 +6,9 @@ from numpy.polynomial import Polynomial
 from scipy.special import erf
 
 from dispgibbs import (NotAJump, PiecewisePolynomialIC, PieceTooShallow, box,
-                       eval_I, jump_decomposition, normalize, rescaled_profile,
-                       smoothed_box, solve, taylor_away, tent)
+                       eval_I, jump_decomposition, normalize, quadrature,
+                       rescaled_profile, smoothed_box, solve, special,
+                       taylor_away, tent)
 
 HEAT = normalize({2: -1j})
 SCHRO = normalize({2: 1})
@@ -181,3 +182,54 @@ def test_rescaled_profile_converges_to_canonical():
     assert devs[0] < 5e-2
     assert devs[1] < 0.3 * devs[0]
     assert devs[1] < 5e-3
+
+
+@pytest.mark.parametrize("ic", [box(), tent(), smoothed_box(0.1)],
+                         ids=["box", "tent", "smoothed_box"])
+def test_array_solve_matches_scalar_solve(ic):
+    # one eval_I_grid per jump against one eval_I per jump and point; the
+    # grid stays off every breakpoint, where t = 0 has no value
+    xs = np.linspace(-2.05, 2.05, 42)
+    for omega in ({3: 1}, {2: -1j}):
+        for t in (0.0, 1e-3, 0.1, 1.0):
+            got = solve(ic, omega, xs, t)
+            want = np.array([solve(ic, omega, float(x), t) for x in xs])
+            assert got.shape == xs.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), (omega, t)
+    with pytest.raises(ValueError):
+        solve(box(), {3: 1}, np.zeros((2, 2)), 0.1)
+
+
+def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
+    # profilers and work budgets wrap these names where the package looks
+    # them up; a grid solve must build and integrate through them, with one
+    # descent system per point but shared contours and rules
+    calls = {"descent_system": 0, "direct_contour": 0, "integrate_contour": 0}
+    contours, rules = [], []
+
+    def counted(name):
+        original = getattr(special, name)
+
+        def hook(*args, **kwargs):
+            calls[name] += 1
+            if name == "integrate_contour":
+                contours.append(args[1])
+            return original(*args, **kwargs)
+        return hook
+
+    for name in calls:
+        monkeypatch.setattr(special, name, counted(name))
+    rule = quadrature.integrate_segment
+
+    def counted_rule(f, start, end, order):
+        rules.append((start, end))
+        return rule(f, start, end, order)
+
+    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+    xs = np.linspace(-2.0, 2.0, 41)
+    solve(smoothed_box(0.1), {3: 1}, xs, 1e-3)
+    jumps = len(jump_decomposition(smoothed_box(0.1)))
+    assert 0 < calls["direct_contour"] <= jumps
+    assert calls["descent_system"] > len(xs)         # per point, over the jumps
+    assert calls["integrate_contour"] < calls["descent_system"] / 4
+    assert set(rules) == {(sg.start, sg.end) for c in contours for sg in c.segments}

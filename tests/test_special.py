@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import airy, erf
 
-from dispgibbs import (asymptotic_I, eval_E, eval_I, eval_I_grid, eval_kernel,
-                       normalize, ode_residual, residue_part)
+from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
+                       eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
+                       ode_residual, residue_part, special)
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL
 
@@ -285,3 +287,103 @@ def test_eval_I_grid_validation():
         eval_I_grid(HEAT, 0, [-1.0, 1.0], 0.0)
     with pytest.raises(ValueError):
         eval_I_grid(HEAT, 0, [0.0, np.inf], 1.0)
+
+
+ROUTE_SYMBOLS = dict(GRID_SYMBOLS, quartic={4: -1j, 2: 0.3})
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DegeneratePhase, NoConvergence) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("method", ["descent", "auto"])
+@pytest.mark.parametrize("coeffs", ROUTE_SYMBOLS.values(), ids=ROUTE_SYMBOLS.keys())
+def test_eval_I_grid_one_point_is_eval_I(coeffs, method):
+    # the descent route of eval_I is the one-row case of the batched code,
+    # so a one-point grid gives the same bits, or raises the same error
+    om = normalize(coeffs)
+    t = 0.7
+    u = (abs(om.leading) * t) ** (1.0 / om.degree)
+    for s in (-17.0, -6.5, -4.0, -1.3, 2.5, 4.2, 9.0, 31.0):
+        y = s * u + om.drift * t
+        for m in (-1, 0, 1, 2):
+            want = _outcome(lambda: eval_I(om, m, y, t, method=method))
+            got = _outcome(lambda: eval_I_grid(om, m, [y], t, method=method))
+            if isinstance(want, type):
+                assert got is want, (coeffs, m, s)
+            else:
+                assert got.shape == (1,) and got[0] == want, (coeffs, m, s)
+
+
+def _route(om, m, y, t):
+    return special._evaluate(om, m, y, t, "auto")[1][0].label
+
+
+@pytest.mark.parametrize("coeffs", ROUTE_SYMBOLS.values(), ids=ROUTE_SYMBOLS.keys())
+def test_eval_I_grid_auto_matches_pointwise(coeffs):
+    # the grid straddles |s| = 4, so it holds a direct batch and descent
+    # batches; descent keeps relative accuracy, direct mixed accuracy
+    om = normalize(coeffs)
+    for t in (1e-2, 1.0):
+        u = (abs(om.leading) * t) ** (1.0 / om.degree)
+        ys = np.linspace(-12.0, 12.0, 25) * u + om.drift * t
+        for m in (-1, 0, 1, 2):
+            got = eval_I_grid(om, m, ys, t, method="auto")
+            for y, g in zip(ys, got):
+                want = eval_I(om, m, float(y), t)
+                if _route(om, m, float(y), t) == "direct":
+                    assert abs(g - want) <= 1e-12 * (1 + abs(want)), (coeffs, t, m, y)
+                else:
+                    assert abs(g - want) <= 1e-12 * abs(want), (coeffs, t, m, y)
+
+
+def test_eval_I_grid_auto_in_the_k5_fallback_window():
+    # around |s| = 34.5 the k^5 descent does not converge and eval_I falls
+    # back to direct; the grid's descent batch fails there and its points
+    # are evaluated again one by one
+    om = normalize({5: 1})
+    ys = np.concatenate([np.linspace(-36.0, -33.0, 7), np.linspace(33.0, 36.0, 7)])
+    routes = {_route(om, 0, float(y), 1.0) for y in ys}
+    assert "direct" in routes and routes != {"direct"}
+    for m in (0, 1):
+        got = eval_I_grid(om, m, ys, 1.0, method="auto")
+        want = np.array([eval_I(om, m, float(y), 1.0) for y in ys])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), m
+
+
+@pytest.mark.parametrize("error", [NoConvergence, NonFinite])
+def test_eval_I_grid_failed_batch_is_evaluated_point_by_point(monkeypatch, error):
+    # a batch that fails is not the answer: its points go through eval_I
+    cores = {name: getattr(special, name) for name in ("_direct_core", "_descent_core")}
+
+    def failing(name):
+        def core(can, m, s, *rest):
+            if np.size(s) > 1:
+                raise error("forced batch failure")
+            return cores[name](can, m, s, *rest)
+        return core
+
+    for name in cores:
+        monkeypatch.setattr(special, name, failing(name))
+    om = normalize({3: 1, 2: -0.5j})
+    ys = np.linspace(-12.0, 12.0, 13)
+    for m in (0, 1):
+        got = eval_I_grid(om, m, ys, 1.0, method="auto")
+        want = [eval_I(om, m, float(y), 1.0) for y in ys]
+        assert list(got) == want
+
+
+def test_unguarded_descent_fails_fast_by_the_pole():
+    # the central segment of this saddle is 85 long and passes 0.35 from the
+    # pole; no rule up to the order cap can resolve that
+    spent = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(DegeneratePhase, match="distance to the pole"):
+            eval_I(SCHRO, 0, 0.1, 1.0, method="descent")
+        spent.append(time.perf_counter() - start)
+    assert min(spent) < 5e-3
+    eval_I(SCHRO, 0, 1.0, 1.0, method="descent")      # converges, so no guard
