@@ -76,22 +76,6 @@ def _parse_ic(text):
         f"--ic must be box, tent, smoothed-box:<delta>, or a JSON file; got {text!r}")
 
 
-def _check_threads():
-    """Validate DISPGIBBS_THREADS; grids run in batches on one thread whatever it says.
-
-    A thread pool made grid sweeps slower, not faster, so the variable no
-    longer changes anything; a bad value is still an argument error.
-    """
-    cap = os.environ.get("DISPGIBBS_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise click.UsageError(f"DISPGIBBS_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise click.UsageError("DISPGIBBS_THREADS must be >= 1")
-
-
 def _emit(text, output):
     if output and output != "-":
         with open(output, "w") as fh:
@@ -137,7 +121,6 @@ def eval_cmd(omega, m, t, ygrid, method, fmt, output):
     om = _parse_omega_opt(omega)
     ys = _parse_grid(ygrid)
     try:
-        _check_threads()
         vals = [eval_I(om, m, float(y), t, method=method) for y in ys]
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -174,7 +157,6 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
     rows = []
     for t in ts:
         try:
-            _check_threads()
             vals = solve(data, om, xs, t)
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -198,7 +180,6 @@ def kernel_cmd(omega, t, xgrid, fmt, output):
     om = _parse_omega_opt(omega)
     xs = _parse_grid(xgrid)
     try:
-        _check_threads()
         vals = eval_I_grid(om, -1, xs, t, method="auto")
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -269,7 +250,7 @@ def contour_cmd(omega, m, y, t, kind, output):
         else:
             if t <= 0:
                 raise click.UsageError("contour construction needs t > 0")
-            _, contours = _evaluate(om, m, y, t, method=kind)
+            _, contours = _evaluate(om, m, [y], t, method=kind)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except NUMERICAL_ERRORS as exc:
@@ -347,6 +328,9 @@ def _suite_limits():
         ("heat right -> 0", {2: -1j}, 12.0, 0.0, 1e-3),
         ("stokes right -> 0", {3: -1.0}, 15.0, 0.0, 1e-3),
         ("stokes left -> -1", {3: -1.0}, -7000.0, -1.0, 1e-3),
+        ("airy left -> -1", {3: 1.0}, -15.0, -1.0, 1e-3),
+        ("schrodinger right -> 0", {2: 1.0}, 2000.0, 0.0, 1e-3),
+        ("schrodinger left -> -1", {2: 1.0}, -2000.0, -1.0, 1e-3),
     ]
     lines = []
     ok = True

@@ -187,8 +187,7 @@ def solve(ic, omega, x, t, method="auto"):
     stay off the breakpoints (no canonical value exists there).
 
     x may be a scalar or a 1-D array; for an array each jump's shifted
-    copies x - c are one eval_I_grid call (at t = 0, eval_I's closed form
-    point by point), and the result is one value per x.
+    copies x - c are one eval_I_grid call, and the result is one value per x.
     """
     om = normalize(omega)
     if np.ndim(x) == 0:
@@ -201,11 +200,7 @@ def solve(ic, omega, x, t, method="auto"):
         raise ValueError("x must be a scalar or a 1-D grid")
     total = np.zeros(xs.shape, dtype=complex)
     for c, m, jump in jump_decomposition(ic):
-        if t == 0:
-            vals = [eval_I(om, m, y, t, method=method) for y in xs - c]
-        else:
-            vals = eval_I_grid(om, m, xs - c, t, method=method)
-        total += jump * np.asarray(vals, dtype=complex)
+        total += jump * eval_I_grid(om, m, xs - c, t, method=method)
     return total
 
 

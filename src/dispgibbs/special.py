@@ -16,11 +16,11 @@ so only the shape s = y/u matters.  Small |s| is handled on a bent version
 of the defining contour ("direct"); large |s| through the saddle-point
 system of the rescaled phase ("descent"), which keeps relative accuracy even
 when the answer is 1e-100 of the integrand scale.  t = 0 is exact:
-I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  A whole grid of y at
-one (omega, m, t) goes through eval_I_grid, which takes each point's
-route as eval_I would and shares the work within a route: one direct
-contour for the direct points, and one quadrature rule per saddle segment
-for the descent points.
+I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  Every query goes
+through one router, _evaluate, which takes a grid of y at one
+(omega, m, t) and shares the work within a route: one direct contour for
+the direct points, and one quadrature rule per saddle segment for the
+descent points.  eval_I is its one-point case, eval_I_grid its grid case.
 """
 
 import cmath
@@ -234,29 +234,91 @@ def _descent_core(can, m, s, systems, tol):
     return residue + pref * total
 
 
-def _evaluate(omega, m, y, t, method, tol=QUAD_TOL):
-    """The one path from a query to its value: normalize, validate, the exact
-    t = 0 closed form or the canonical shape, then the route with its fallback.
+def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
+    """The one path from a query to its values: normalize, validate every
+    point of the non-empty 1-D grid ys, then the exact t = 0 closed form or
+    the canonical shapes s = y/u, split by route.
 
-    Returns (value, contours integrated); the closed form integrates none.
+    The direct points share one direct contour, built for the range of
+    their shapes; a lone direct point keeps the scalar quadrature path.
+    The descent points keep their own saddle contours and guards, and those
+    with the same number of saddles share every quadrature rule (see
+    _descent_core).  Under auto a point whose descent geometry fails its
+    guards joins the direct batch, and so does a lone descent point whose
+    quadrature does not converge.  A batch of several points that raises
+    NoConvergence or NonFinite is evaluated again point by point, so a grid
+    answers or raises as its points would alone.
+
+    Returns (values, contours integrated); the closed form integrates none.
     """
     omega = normalize(omega)
-    y, t = float(y), float(t)
-    _validate(m, y, t, method)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1 or ys.size == 0:
+        raise ValueError("ys must be a non-empty 1-D grid")
+    t = float(t)
+    for y in ys.tolist():
+        _validate(m, y, t, method)
     if t == 0.0:  # no drift, and exp(-i omega_0 t) = 1
-        return (0.0 if y > 0 else -((y ** m) / math.factorial(m))), ()
+        return np.array([0.0 if y > 0 else -((y ** m) / math.factorial(m))
+                         for y in ys.tolist()], dtype=complex), []
 
-    can, s, u, factor = _canonical(omega, y, t)
+    can, s, u, factor = _canonical(omega, ys, t)
     scale = factor * u ** m
-    if method == "descent" or (method == "auto" and abs(s) >= DESCENT_THRESHOLD):
+    direct, batches = [], {}   # batches: saddle count -> [(index, system)]
+    for i, si in enumerate(s.tolist()):
+        if method == "direct" or (method == "auto" and abs(si) < DESCENT_THRESHOLD):
+            direct.append(i)
+            continue
         try:
-            system = _descent_system(can, m, s, guarded=method == "auto")
-            return scale * _descent_core(can, m, [s], [system], tol)[0], system[1].contours
-        except (DegeneratePhase, NoConvergence):
+            system = _descent_system(can, m, si, guarded=method == "auto")
+        except DegeneratePhase:
             if method == "descent":
                 raise
-    value, cont = _direct_core(can, m, s, tol)
-    return scale * value, (cont,)
+            direct.append(i)
+            continue
+        batches.setdefault(len(system[1].points), []).append((i, system))
+
+    out = np.empty(len(s), dtype=complex)
+    contours = []
+
+    def one_by_one(idx):
+        for i in idx:
+            vals, conts = _evaluate(omega, m, ys[i:i + 1], t, method, tol)
+            out[i] = vals[0]
+            contours.extend(conts)
+
+    def store(idx, vals):
+        # scaled value by value, as a lone point is scaled: numpy multiplies
+        # a complex array and a complex scalar differently
+        out[idx] = [scale * v for v in np.atleast_1d(vals)]
+
+    for rows in batches.values():
+        idx = [i for i, _ in rows]
+        try:
+            vals = _descent_core(can, m, s[idx], [system for _, system in rows], tol)
+        except (NoConvergence, NonFinite) as exc:
+            if len(idx) > 1:
+                one_by_one(idx)
+            elif method == "auto" and isinstance(exc, NoConvergence):
+                direct += idx
+            else:
+                raise
+            continue
+        store(idx, vals)
+        contours.extend(c for _, (_, system) in rows for c in system.contours)
+    if direct:
+        lone = len(direct) == 1
+        try:
+            vals, cont = _direct_core(
+                can, m, float(s[direct[0]]) if lone else s[direct][:, None], tol)
+        except (NoConvergence, NonFinite):
+            if lone:
+                raise
+            one_by_one(direct)
+        else:
+            store(direct, vals)
+            contours.append(cont)
+    return out, contours
 
 
 def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
@@ -270,67 +332,19 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
       direct  -- bent defining contour only.
       descent -- saddle-point system only (raises DegeneratePhase when the
                  stationary points are unusable).
+
+    This is the one-point case of eval_I_grid.
     """
-    return _evaluate(omega, m, y, t, method, tol)[0]
+    return _evaluate(omega, m, [y], t, method, tol)[0][0]
 
 
 def eval_I_grid(omega, m, ys, t, method="direct", tol=QUAD_TOL):
-    """Evaluate I_m(y, t) at every y of a 1-D grid, each point on the route
-    eval_I(omega, m, y, t, method) would take.
-
-    Points are batched by route.  The direct points share one direct contour,
-    built for the range of their shapes s = y/u.  The descent points keep
-    their own saddle contours and guards, and those with the same number of
-    saddles share every quadrature rule (see _descent_core); under auto a
-    point whose descent geometry fails its guards joins the direct batch.
-    In every batch each point must pass the convergence test of each
-    segment.  A batch that raises NoConvergence or NonFinite is evaluated
-    again point by point through eval_I, so the grid answers or raises as
-    its points would alone; a one-point grid gives exactly eval_I.  Needs
-    t > 0: at t = 0 there is no contour, only eval_I's closed form.
+    """Evaluate I_m(y, t) at every y of a non-empty 1-D grid, each point on
+    the route eval_I(omega, m, y, t, method) would take, batched by route
+    (see _evaluate); a one-point grid gives exactly eval_I, and t = 0 gives
+    the closed form point by point.
     """
-    omega = normalize(omega)
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or ys.size == 0:
-        raise ValueError("ys must be a non-empty 1-D grid")
-    t = float(t)
-    for y in ys:
-        _validate(m, float(y), t, method)
-    if t == 0:
-        raise ValueError("eval_I_grid needs t > 0")
-    can, s, u, factor = _canonical(omega, ys, t)
-    scale = factor * u ** m
-
-    direct, batches = [], {}   # batches: saddle count -> [(index, system)]
-    for i, si in enumerate(s):
-        if method == "direct" or (method == "auto" and abs(si) < DESCENT_THRESHOLD):
-            direct.append(i)
-            continue
-        try:
-            system = _descent_system(can, m, float(si), guarded=method == "auto")
-        except DegeneratePhase:
-            if method == "descent":
-                raise
-            direct.append(i)
-            continue
-        batches.setdefault(len(system[1].points), []).append((i, system))
-
-    out = np.empty(s.shape, dtype=complex)
-
-    def run(idx, batch):
-        try:
-            # scaled value by value, as eval_I scales its one value: numpy
-            # multiplies a complex array and a complex scalar differently
-            out[idx] = [scale * v for v in batch()]
-        except (NoConvergence, NonFinite):
-            out[idx] = [eval_I(omega, m, float(ys[i]), t, method, tol) for i in idx]
-
-    for rows in batches.values():
-        idx = [i for i, _ in rows]
-        run(idx, lambda: _descent_core(can, m, s[idx], [sy for _, sy in rows], tol))
-    if direct:
-        run(direct, lambda: _direct_core(can, m, s[direct][:, None], tol)[0])
-    return out
+    return _evaluate(omega, m, ys, t, method, tol)[0]
 
 
 def eval_E(n, m, sigma, s):

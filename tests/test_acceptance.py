@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import airy, sici, wofz
+from scipy.special import sici, wofz
 
 from dispgibbs import (PiecewisePolynomialIC, asymptotic_I, box, eval_I,
                        normalize, ode_residual, overshoot, overshoot_table,
                        rescaled_profile, residue_part, smoothed_box, solve,
                        wilbraham_gibbs_constant)
-from dispgibbs.quadrature import integrate_segment
+from dispgibbs.cli import SUITES
 
 HEAT = normalize({2: -1j})
 SCHRO = normalize({2: 1})
@@ -51,31 +51,13 @@ def test_criterion_01_gibbs_constant():
 
 
 def test_criterion_02_closed_form_oracles():
+    # the `dispgibbs verify oracles` suite: heat and Schrodinger against
+    # erf, the Airy primitive against quadrature of Ai, 201 points each
     t0 = time.perf_counter()
-    s = np.linspace(-10.0, 10.0, 201)
-
-    heat = np.array([eval_I(HEAT, 0, float(v), 1.0) for v in s])
-    e_heat = np.abs(heat - 0.5 * (_cerf(s / 2) - 1.0)).max()
-
-    sch = np.array([eval_I(SCHRO, 0, float(v), 1.0) for v in s])
-    e_sch = np.abs(sch - 0.5 * (_cerf(np.exp(-1j * np.pi / 4) * s / 2) - 1.0)).max()
-
-    def ai_cdf(v):
-        # cumulative Airy by spectral quadrature of scipy's Ai values
-        if v >= 0:
-            tail, _ = integrate_segment(lambda z: airy(z)[0].real, v, v + 20.0, 192)
-            return 1.0 - tail.real
-        head, _ = integrate_segment(lambda z: airy(z)[0].real, v, 0.0, 256)
-        return 2.0 / 3.0 - head.real
-
-    stokes = np.array([eval_I({3: -1.0}, 0, float(v), 1.0) for v in s])
-    ref = np.array([ai_cdf(v * 3.0 ** (-1.0 / 3.0)) - 1.0 for v in s])
-    e_stk = np.abs(stokes - ref).max()
-
+    ok, lines = SUITES["oracles"]()
     dt = time.perf_counter() - t0
-    ok = e_heat < 1e-8 and e_sch < 1e-8 and e_stk < 1e-6 and dt < 30.0
-    _line(2, ok, f"201-pt max errs: heat {e_heat:.2e}, schrodinger {e_sch:.2e} "
-                 f"(< 1e-8); airy primitive {e_stk:.2e} (< 1e-6); {dt:.1f} s (< 30 s)")
+    errs = ", ".join(f"{label} {err:.2e} (< {tol:g})" for label, err, tol in lines)
+    _line(2, ok and dt < 30.0, f"201-pt max errs: {errs}; {dt:.1f} s (< 30 s)")
 
 
 def test_criterion_03_values_at_zero():
@@ -125,15 +107,9 @@ def test_criterion_04_overshoot_convergence(big_table):
 
 
 def test_criterion_05_limits_and_ladder():
-    ends = [
-        abs(eval_I(HEAT, 0, 12.0, 1.0)),
-        abs(eval_I(HEAT, 0, -12.0, 1.0) + 1.0),
-        abs(eval_I(normalize({3: -1}), 0, 15.0, 1.0)),
-        abs(eval_I(normalize({3: 1}), 0, -15.0, 1.0) + 1.0),
-        abs(eval_I(SCHRO, 0, 2000.0, 1.0)),
-        abs(eval_I(SCHRO, 0, -2000.0, 1.0) + 1.0),
-    ]
-    e_end = max(ends)
+    # the `dispgibbs verify limits` table of far-end values
+    _, ends = SUITES["limits"]()
+    e_end = max(err for _, err, _ in ends)
 
     stencil = [(-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)]
     h = 1e-2
@@ -158,8 +134,9 @@ def test_criterion_05_limits_and_ladder():
         e_ode = max(e_ode, ode_residual(normalize({n: sig}), m, y, t, 1e-2))
 
     ok = e_end < 1e-3 and e_lad < 1e-5 and e_ode < 1e-4
-    _line(5, ok, f"endpoint err {e_end:.2e} (< 1e-3); ladder err {e_lad:.2e} "
-                 f"(< 1e-5); ode residual {e_ode:.2e} (< 1e-4, 20 samples)")
+    _line(5, ok, f"endpoint err {e_end:.2e} (< 1e-3, {len(ends)} ends); "
+                 f"ladder err {e_lad:.2e} (< 1e-5); ode residual {e_ode:.2e} "
+                 f"(< 1e-4, 20 samples)")
 
 
 def test_criterion_06_asymptotics():

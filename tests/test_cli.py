@@ -49,8 +49,6 @@ def test_eval_validation_failures():
                "--y-grid", "0:1:3").exit_code == 2
     assert run("eval", "--omega", "2:1i", "--t", "1",
                "--y-grid", "0:1:3").exit_code == 2  # ill-posed
-    assert run("eval", "--omega", "2:1", "--t", "1", "--y-grid", "0:1:8",
-               env={"DISPGIBBS_THREADS": "zero"}).exit_code == 2
 
 
 def test_kernel_values():
@@ -160,6 +158,17 @@ def test_verify_limits():
     assert r.exit_code == 0
     assert "ok   [limits]" in r.output.replace("ok  [", "ok   [")
     assert "FAIL" not in r.output
+
+
+def test_verify_all_suites():
+    # oracles 3, ode 1, limits 7 (the far ends criterion 05 also checks),
+    # gibbs 2: one ok line per check
+    r = run("verify")
+    assert r.exit_code == 0, r.output
+    lines = r.output.splitlines()
+    assert len(lines) == 13 and all(line.startswith("ok   [") for line in lines)
+    suites = {line.split("]")[0][len("ok   ["):] for line in lines}
+    assert suites == {"gibbs", "limits", "ode", "oracles"}
 
 
 def test_thread_count_does_not_change_bytes():

@@ -284,9 +284,13 @@ def test_eval_I_grid_validation():
     with pytest.raises(ValueError):
         eval_I_grid(HEAT, -2, [1.0], 1.0)
     with pytest.raises(ValueError):
-        eval_I_grid(HEAT, 0, [-1.0, 1.0], 0.0)
+        eval_I_grid(HEAT, -1, [-1.0, 1.0], 0.0)
     with pytest.raises(ValueError):
         eval_I_grid(HEAT, 0, [0.0, np.inf], 1.0)
+    # t = 0 is the closed form, point by point
+    want = [eval_I(HEAT, 0, y, 0.0) for y in (-1.0, 1.0)]
+    assert want == [-1.0, 0.0]
+    assert list(eval_I_grid(HEAT, 0, [-1.0, 1.0], 0.0)) == want
 
 
 ROUTE_SYMBOLS = dict(GRID_SYMBOLS, quartic={4: -1j, 2: 0.3})
@@ -319,7 +323,7 @@ def test_eval_I_grid_one_point_is_eval_I(coeffs, method):
 
 
 def _route(om, m, y, t):
-    return special._evaluate(om, m, y, t, "auto")[1][0].label
+    return special._evaluate(om, m, [y], t, "auto")[1][0].label
 
 
 @pytest.mark.parametrize("coeffs", ROUTE_SYMBOLS.values(), ids=ROUTE_SYMBOLS.keys())
@@ -354,9 +358,28 @@ def test_eval_I_grid_auto_in_the_k5_fallback_window():
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), m
 
 
+def test_eval_I_grid_descent_in_the_k5_window_raises_as_its_first_failing_point():
+    # descent has no fallback: the failed batch is evaluated again point by
+    # point, so the grid raises what its first failing point (s = 34) raises
+    # alone; past s = 35 the geometry would fail first, before any quadrature
+    om = normalize({5: 1})
+    ys = np.concatenate([np.linspace(-35.0, -33.0, 5), np.linspace(33.0, 35.0, 5)])
+    for m in (0, 1):
+        failures = []
+        for y in ys:
+            try:
+                eval_I(om, m, float(y), 1.0, method="descent")
+            except NoConvergence as exc:
+                failures.append(exc)
+        assert len(failures) == 3
+        with pytest.raises(NoConvergence) as got:
+            eval_I_grid(om, m, ys, 1.0, method="descent")
+        assert str(got.value) == str(failures[0])
+
+
 @pytest.mark.parametrize("error", [NoConvergence, NonFinite])
 def test_eval_I_grid_failed_batch_is_evaluated_point_by_point(monkeypatch, error):
-    # a batch that fails is not the answer: its points go through eval_I
+    # a batch that fails is not the answer: its points go one at a time
     cores = {name: getattr(special, name) for name in ("_direct_core", "_descent_core")}
 
     def failing(name):
