@@ -306,20 +306,35 @@ def _suite_oracles():
 
 
 def _suite_ode():
-    samples = []
-    for om in ({2: -1j}, {2: 1.0}, {3: 1.0}, {3: -1.0}, {4: -1j}):
-        for m in (0, 1):
-            for y, t in ((2.3, 0.7), (-5.1, 1.3)):
-                samples.append((om, m, y, t))
-    lines = []
-    ok = True
+    # the ODE identity at 20 fixed and 20 seeded samples, and the ladder
+    # d/dy I_m = I_{m-1} by a fourth-order central difference
+    worst = max(ode_residual(om, m, y, t)
+                for om in ({2: -1j}, {2: 1.0}, {3: 1.0}, {3: -1.0}, {4: -1j})
+                for m in (0, 1) for y, t in ((2.3, 0.7), (-5.1, 1.3)))
+    lines = [("ode residual (20 samples)", worst, 1e-4)]
+
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for om, m, y, t in samples:
-        r = ode_residual(om, m, y, t)
-        worst = max(worst, r)
-    ok = worst < 1e-4
-    lines.append(("ode residual (20 samples)", worst, 1e-4))
-    return ok, lines
+    for _ in range(20):
+        n = int(rng.choice([2, 3, 4]))
+        sig = complex(rng.choice([1.0, -1.0])) if n % 2 else \
+            complex(rng.choice([1.0 + 0j, -1j]))
+        m = int(rng.choice([0, 1]))
+        y = float(rng.uniform(0.5, 3.0) * rng.choice([-1, 1]))
+        t = float(rng.uniform(0.3, 1.5))
+        worst = max(worst, ode_residual({n: sig}, m, y, t, 1e-2))
+    lines.append(("ode residual (20 seeded samples, h 1e-2)", worst, 1e-4))
+
+    stencil = [(-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)]
+    h = 1e-2
+    worst = 0.0
+    for om in ({2: -1j}, {3: 1}, {4: -1j}):
+        for m in (0, 1):
+            for y in (0.8, -1.7):
+                fd = sum(w * eval_I(om, m, y + k * h, 0.7) for k, w in stencil) / h
+                worst = max(worst, abs(fd - eval_I(om, m - 1, y, 0.7)))
+    lines.append(("derivative ladder (12 samples)", worst, 1e-5))
+    return all(err < tol for _, err, tol in lines), lines
 
 
 def _suite_limits():

@@ -43,6 +43,11 @@ __all__ = [
 # drop in exp(Re X Phi) from the saddle to the tail ends; e^-45 ~ 2.9e-20
 TAIL_DROP = 45.0
 ARC_CHORDS = 8
+BEND_PAD = 1.3          # direct bend radius over the saddle and dominance radii
+PHASE_BUDGET = 120.0    # radians of accumulated-phase bound per direct segment
+JOINT_WIDTH = 6.0       # central half-width in 1/sqrt(X |Phi''|): joints sit e^-18 down
+CENTRAL_ORDER = 96      # initial Clenshaw-Curtis orders of the descent segments
+TAIL_ORDER = 64
 _CREST_PROBES = np.linspace(0.0, 1.0, 33)   # where descent tails are probed for ridges
 
 
@@ -118,8 +123,19 @@ def _ray_for_end(omega, exponent, anchor, want_right):
     return best[0]
 
 
-def _march_out(logmag, anchor, theta, drop, step0):
-    """Distance L to the logmag = -drop crossing along anchor + L e^i theta.
+def _bisect(pred, lo, hi):
+    """The bracket (lo, hi) after 60 halvings, pred false at lo, true at hi."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _march_out(logmag, anchor, theta, step0):
+    """Distance L to the logmag = -TAIL_DROP crossing along anchor + L e^i theta.
 
     Doubles until the drop is met, then bisects back to the crossing:
     for steep symbols the doubling overshoots by orders of magnitude and
@@ -129,92 +145,57 @@ def _march_out(logmag, anchor, theta, drop, step0):
     e = cmath.exp(1j * theta)
     L = step0
     for _ in range(200):
-        if logmag(anchor + L * e) <= -drop:
+        if logmag(anchor + L * e) <= -TAIL_DROP:
             break
         L *= 2.0
     else:
         raise DegeneratePhase("integrand refuses to decay along chosen ray")
-    lo, hi = (0.0, L) if L <= step0 else (L / 2.0, L)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if logmag(anchor + mid * e) <= -drop:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo = 0.0 if L <= step0 else L / 2.0
+    return _bisect(lambda r: logmag(anchor + r * e) <= -TAIL_DROP, lo, L)[1]
 
 
-def _phase_knots(omega, s, lo, hi, budget):
-    """Split [lo, hi] on the real axis into equal-phase pieces.
+def _phase_knots(omega, s, rho, lo, hi, pieces):
+    """Split [lo, hi] into at least `pieces` pieces of equal phase, each
+    within PHASE_BUDGET, on a straight path starting rho from the origin.
 
-    The phase density (s - omega'(x)) is wildly nonuniform for steep
+    The phase density (s - omega'(z)) is wildly nonuniform for steep
     symbols -- near the bend an equal-width piece can hold thousands of
     radians while the piece by the pole holds a handful -- so the knots
-    equalise the accumulated-phase bound |s| x + sum_j |omega_j| x^j.
+    equalise the monotone accumulated-phase bound
+    |s| r + sum_j |omega_j| ((rho + r)^j - rho^j), one bisection each.
     """
 
-    def phi(x):
-        tot = abs(s) * x
-        for j, c in enumerate(omega.coeffs):
-            if j and c:
-                tot += abs(c) * x ** j
-        return tot
-
-    total = phi(hi) - phi(lo)
-    k = max(1, int(math.ceil(total / budget)))
-    knots = [lo]
-    for i in range(1, k):
-        target = phi(lo) + total * i / k
-        a_, b_ = knots[-1], hi
-        for _ in range(60):
-            mid = 0.5 * (a_ + b_)
-            if phi(mid) < target:
-                a_ = mid
-            else:
-                b_ = mid
-        knots.append(0.5 * (a_ + b_))
-    knots.append(hi)
-    return knots
-
-
-def _ray_breaks(omega, s, logmag, anchor, theta, drop, budget):
-    """Truncation-ray split radii [0, ..., L] bounded by a phase budget.
-
-    The first march step is scaled to the local decay rate (for steep
-    symbols the ray dies within a sliver, and a unit step would hand the
-    quadrature thousands of radians); the accumulated-phase bound
-    |s| r + sum_j |omega_j| ((rho+r)^j - rho^j) is monotone, so budget
-    knots come out of a bisection.
-    """
-    e = cmath.exp(1j * theta)
-    probe = 1e-3
-    rate = (logmag(anchor) - logmag(anchor + probe * e)) / probe
-    step0 = min(1.0, max(1e-6, drop / max(rate, 1.0)))
-    L = _march_out(logmag, anchor, theta, drop, step0)
-    rho = abs(anchor)
-
-    def span(r):
+    def phi(r):
         tot = abs(s) * r
         for j, c in enumerate(omega.coeffs):
             if j and c:
                 tot += abs(c) * ((rho + r) ** j - rho ** j)
         return tot
 
-    total = span(L)
-    k = max(2, int(math.ceil(total / budget)))
-    breaks = [0.0]
+    total = phi(hi) - phi(lo)
+    k = max(pieces, int(math.ceil(total / PHASE_BUDGET)))
+    knots = [lo]
     for i in range(1, k):
-        target = total * i / k
-        lo, hi = breaks[-1], L
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if span(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        breaks.append(0.5 * (lo + hi))
-    breaks.append(L)
-    return breaks
+        target = phi(lo) + total * i / k
+        a_, b_ = _bisect(lambda r: phi(r) >= target, knots[-1], hi)
+        knots.append(0.5 * (a_ + b_))
+    knots.append(hi)
+    return knots
+
+
+def _ray_breaks(omega, s, logmag, anchor, theta):
+    """Truncation-ray split radii [0, ..., L] bounded by the phase budget.
+
+    The first march step is scaled to the local decay rate (for steep
+    symbols the ray dies within a sliver, and a unit step would hand the
+    quadrature thousands of radians).
+    """
+    e = cmath.exp(1j * theta)
+    probe = 1e-3
+    rate = (logmag(anchor) - logmag(anchor + probe * e)) / probe
+    step0 = min(1.0, max(1e-6, TAIL_DROP / max(rate, 1.0)))
+    L = _march_out(logmag, anchor, theta, step0)
+    return _phase_knots(omega, s, abs(anchor), 0.0, L, 2)
 
 
 def _adjacent_valleys(alpha, dirs):
@@ -240,14 +221,14 @@ def _adjacent_valleys(alpha, dirs):
     return below, above
 
 
-def direct_contour(omega, m, s_lo, s_hi=None, pad=1.3, order=64, phase_budget=120.0):
+def direct_contour(omega, m, s_lo, s_hi=None, order=64):
     """Bent pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
 
     omega must already have t folded in (t=1).  The bend radius sits outside
     every saddle of the full phase and outside the region where lower-order
     terms compete with the leading one, so only decaying tails are cut.
     The oscillatory stretch [-a, a] is split so each segment holds a bounded
-    number of radians of phase.
+    number of radians of phase (PHASE_BUDGET), and so is each truncation ray.
 
     One contour serves every s in [s_lo, s_hi] (s_hi defaults to s_lo): the
     log-magnitude Re(izs - i omega(z)) is affine in s, so the rays, the
@@ -264,7 +245,7 @@ def direct_contour(omega, m, s_lo, s_hi=None, pad=1.3, order=64, phase_budget=12
     for j, c in enumerate(omega.coeffs[:-1]):
         if c != 0:
             r_dom = max(r_dom, (4.0 * abs(c) / wn) ** (1.0 / (n - j)))
-    a = pad * max(1.0, r_saddle, r_dom)
+    a = BEND_PAD * max(1.0, r_saddle, r_dom)
 
     def exponent(z):
         # the s-term -s Im(z) peaks over [s_lo, s_hi] at the end Im(z) selects
@@ -277,28 +258,22 @@ def direct_contour(omega, m, s_lo, s_hi=None, pad=1.3, order=64, phase_budget=12
     def logmag(z):
         return exponent(z) - ref
 
-    br_r = _ray_breaks(omega, s_abs, logmag, a, th_r, TAIL_DROP, phase_budget)
-    br_l = _ray_breaks(omega, s_abs, logmag, -a, th_l, TAIL_DROP, phase_budget)
+    br_r = _ray_breaks(omega, s_abs, logmag, a, th_r)
+    br_l = _ray_breaks(omega, s_abs, logmag, -a, th_l)
+    # the real axis runs from the detour radius (from 0 with no pole) to a
+    radius = min(0.5, a / 4.0) if m >= 0 else 0.0
+    cuts = _phase_knots(omega, s_abs, 0.0, radius, a, 1)
 
-    segs = []
     e_l = cmath.exp(1j * th_l)
-    for r_far, r_near in zip(br_l[::-1], br_l[-2::-1]):
-        segs.append(Segment(-a + r_far * e_l, -a + r_near * e_l, order))
-
+    segs = [Segment(-a + r_far * e_l, -a + r_near * e_l, order)
+            for r_far, r_near in zip(br_l[::-1], br_l[-2::-1])]
+    segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
     if m >= 0:
-        radius = min(0.5, a / 4.0)
-        cuts = _phase_knots(omega, s_abs, radius, a, phase_budget)
-        segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
         segs += _arc(radius, max(16, order // 2))
-        segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
-    else:
-        cuts = _phase_knots(omega, s_abs, 0.0, a, phase_budget)
-        segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
-        segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
-
+    segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
     e_r = cmath.exp(1j * th_r)
-    for r_near, r_far in zip(br_r, br_r[1:]):
-        segs.append(Segment(a + r_near * e_r, a + r_far * e_r, order))
+    segs += [Segment(a + r_near * e_r, a + r_far * e_r, order)
+             for r_near, r_far in zip(br_r, br_r[1:])]
     return Contour(tuple(segs), label="direct")
 
 
@@ -323,11 +298,11 @@ def _central_angle(phi2):
     return th
 
 
-def descent_system(phase, c0=6.0, order=96, tail_order=64):
+def descent_system(phase):
     """One contour per stationary point, central segment + two decay rays.
 
-    Central half-width h_j = c0 / sqrt(X |Phi''(z_j)|) makes the integrand
-    drop by exp(-c0^2/2) by the joints; each tail runs from a joint to a
+    Central half-width h_j = c0 / sqrt(X |Phi''(z_j)|), c0 = JOINT_WIDTH,
+    makes the integrand drop by exp(-c0^2/2) by the joints; each tail runs from a joint to a
     point on the valley ray z_j + L e^{i theta}, where the two thetas are
     the decay directions bracketing the saddle's position angle (the pair
     its steepest path actually connects), and L is chosen so Re(X Phi) has
@@ -346,7 +321,7 @@ def descent_system(phase, c0=6.0, order=96, tail_order=64):
             raise DegeneratePhase(f"vanishing Phi'' at stationary point {zj}")
         th = _central_angle(phi2)
         angles.append(th)
-        h = c0 / math.sqrt(X * abs(phi2))
+        h = JOINT_WIDTH / math.sqrt(X * abs(phi2))
         # keep the joints inside this saddle's own basin: past ~a third of
         # the separation the quadratic model (and the valley bookkeeping)
         # belongs to the neighbour
@@ -370,8 +345,8 @@ def descent_system(phase, c0=6.0, order=96, tail_order=64):
         if math.cos(fwd - th) <= 0.0:
             raise DegeneratePhase(
                 "central direction points away from both adjacent valleys")
-        L_f = _march_out(logmag, zj, fwd, TAIL_DROP, max(h, 0.25))
-        L_b = _march_out(logmag, zj, bwd, TAIL_DROP, max(h, 0.25))
+        L_f = _march_out(logmag, zj, fwd, max(h, 0.25))
+        L_b = _march_out(logmag, zj, bwd, max(h, 0.25))
         q_plus = zj + L_f * cmath.exp(1j * fwd)
         q_minus = zj + L_b * cmath.exp(1j * bwd)
         for a, b in ((p_plus, q_plus), (q_minus, p_minus)):
@@ -379,9 +354,9 @@ def descent_system(phase, c0=6.0, order=96, tail_order=64):
             if crest > 2.0:
                 raise DegeneratePhase("descent tail crosses a growth ridge")
         contours.append(Contour((
-            Segment(q_minus, p_minus, tail_order),
-            Segment(p_minus, p_plus, order),
-            Segment(p_plus, q_plus, tail_order),
+            Segment(q_minus, p_minus, TAIL_ORDER),
+            Segment(p_minus, p_plus, CENTRAL_ORDER),
+            Segment(p_plus, q_plus, TAIL_ORDER),
         ), label=f"descent-{j}"))
     return DescentSystem(phase, tuple(pts), tuple(angles), tuple(contours))
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64
+COLLISION_TOL = 1e-6   # relative distance below which two stationary points collide
 
 
 class InvalidDispersion(ValueError):
@@ -279,7 +280,7 @@ def expected_stationary_count(n, wlead):
     return (n + 1) // 2 if wlead.real > 0 else (n - 1) // 2
 
 
-def stationary_points(phase, collision_tol=1e-6):
+def stationary_points(phase):
     """Stationary points of Phi in the closed UHP, counterclockwise from 0+.
 
     Solves W'(z) = 1 by companion matrix plus a couple of Newton polish
@@ -300,7 +301,7 @@ def stationary_points(phase, collision_tol=1e-6):
 
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < collision_tol * max(1.0, abs(roots[i])):
+            if abs(roots[i] - roots[j]) < COLLISION_TOL * max(1.0, abs(roots[i])):
                 raise DegeneratePhase(
                     f"stationary points collide: {roots[i]} ~ {roots[j]}"
                 )

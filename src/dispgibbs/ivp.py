@@ -17,6 +17,8 @@ import numpy as np
 from .dispersion import normalize, polyder, polyval
 from .special import eval_I, eval_I_grid
 
+MAX_PIECE_DEGREE = 8
+
 
 class NotAJump(ValueError):
     """The requested breakpoint carries no zeroth-order jump."""
@@ -43,7 +45,7 @@ class PiecewisePolynomialIC:
     never looks at those single points).
     """
 
-    def __init__(self, breakpoints, pieces, max_degree=8):
+    def __init__(self, breakpoints, pieces):
         bps = tuple(float(c) for c in breakpoints)
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
@@ -56,12 +58,11 @@ class PiecewisePolynomialIC:
             raise ValueError(
                 f"{len(bps)} breakpoints need {len(bps) - 1} pieces, got {len(ps)}")
         for p in ps:
-            if len(p) > max_degree + 1:
+            if len(p) > MAX_PIECE_DEGREE + 1:
                 raise ValueError(
-                    f"piece degree {len(p) - 1} exceeds the cap {max_degree}")
+                    f"piece degree {len(p) - 1} exceeds the cap {MAX_PIECE_DEGREE}")
         self.breakpoints = bps
         self.pieces = ps
-        self.max_degree = int(max_degree)
 
     def __repr__(self):
         return (f"PiecewisePolynomialIC(breakpoints={self.breakpoints!r}, "
@@ -98,15 +99,12 @@ class PiecewisePolynomialIC:
             pieces.append(tuple(
                 (pa[k] if k < len(pa) else 0) + (pb[k] if k < len(pb) else 0)
                 for k in range(width)))
-        return PiecewisePolynomialIC(
-            bps, pieces, max(self.max_degree, other.max_degree))
+        return PiecewisePolynomialIC(bps, pieces)
 
     def __mul__(self, scalar):
         s = complex(scalar)
         return PiecewisePolynomialIC(
-            self.breakpoints,
-            tuple(tuple(s * c for c in p) for p in self.pieces),
-            self.max_degree)
+            self.breakpoints, tuple(tuple(s * c for c in p) for p in self.pieces))
 
     __rmul__ = __mul__
 
@@ -252,7 +250,7 @@ def taylor_away(ic, omega, x, t, order):
     return total
 
 
-def rescaled_profile(ic, omega, c, x_grid, t, method="auto"):
+def rescaled_profile(ic, omega, c, x_grid, t):
     """Jump-local profile (q(c + x h, t) - q_c) / [q_o(c)], h = (|w_n| t)^{1/n}.
 
     omega must be a monomial w_n k^n; c must carry a zeroth-order jump of
@@ -273,7 +271,6 @@ def rescaled_profile(ic, omega, c, x_grid, t, method="auto"):
         raise NotAJump(f"no zeroth-order jump at {c!r}")
     n = om.degree
     h = (abs(om.leading) * t) ** (1.0 / n)
-    q_c = solve(ic, om, c, t, method=method) - jump * eval_I(om, 0, 0.0, t,
-                                                             method=method)
+    q_c = solve(ic, om, c, t) - jump * eval_I(om, 0, 0.0, t)
     xs = c + np.asarray(x_grid, dtype=float).ravel() * h
-    return (solve(ic, om, xs, t, method=method) - q_c) / jump
+    return (solve(ic, om, xs, t) - q_c) / jump

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour, Segment, descent_system, direct_contour
+from .contour import JOINT_WIDTH, Contour, Segment, descent_system, direct_contour
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
@@ -108,7 +108,7 @@ def _canonical(omega, y, t):
     return DispersionRelation(coeffs), (y - omega.drift * t) / u, u, factor
 
 
-def _direct_core(can, m, s, tol):
+def _direct_core(can, m, s):
     """Direct-route value at the shape s, or one value per row of a (points, 1)
     column s of shapes, all on one contour built for the range of s; returns
     (value, contour).
@@ -131,7 +131,7 @@ def _direct_core(can, m, s, tol):
 
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return integrate_contour(f, cont, tol=tol), cont
+        return integrate_contour(f, cont, tol=QUAD_TOL), cont
 
 
 def _nearest_to_origin(seg):
@@ -183,14 +183,14 @@ def _descent_system(can, m, s, guarded):
     if guarded:
         for zj in system.points:
             phi2 = abs(complex(phase.d2phi(zj)))
-            h = 6.0 / math.sqrt(X * phi2)
+            h = JOINT_WIDTH / math.sqrt(X * phi2)
             zeta = X * abs(complex(phase.d3phi(zj))) * h ** 3 / 6.0
             if zeta > ZETA_MAX:
                 raise DegeneratePhase("saddles too close for quadratic descent scaling")
     return phase, system
 
 
-def _descent_core(can, m, s, systems, tol):
+def _descent_core(can, m, s, systems):
     """Descent-route values at the shapes s, one (phase, system) from
     _descent_system per shape, all with the same number of saddles.
 
@@ -225,7 +225,7 @@ def _descent_core(can, m, s, systems, tol):
                     Segment(tuple(sg.start for sg in col), tuple(sg.end for sg in col),
                             col[0].order)
                     for col in zip(*(system.contours[j].segments for _, system in systems))))
-            total = total + integrate_contour(g, cont, tol=tol) * np.exp(c_ref)
+            total = total + integrate_contour(g, cont, tol=QUAD_TOL) * np.exp(c_ref)
 
     # sigma^(m+1) s_f^(-m) per point
     pref = np.array([(-1.0 if (ph.sigma < 0 and (m + 1) % 2 == 1) else 1.0)
@@ -234,7 +234,7 @@ def _descent_core(can, m, s, systems, tol):
     return residue + pref * total
 
 
-def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
+def _evaluate(omega, m, ys, t, method):
     """The one path from a query to its values: normalize, validate every
     point of the non-empty 1-D grid ys, then the exact t = 0 closed form or
     the canonical shapes s = y/u, split by route.
@@ -246,8 +246,9 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
     _descent_core).  Under auto a point whose descent geometry fails its
     guards joins the direct batch, and so does a lone descent point whose
     quadrature does not converge.  A batch of several points that raises
-    NoConvergence or NonFinite is evaluated again point by point, so a grid
-    answers or raises as its points would alone.
+    NoConvergence or NonFinite is evaluated again point by point, and so is
+    the whole grid, in grid order, when any point fails under descent (which
+    has no fallback), so a grid answers or raises as its points would alone.
 
     Returns (values, contours integrated); the closed form integrates none.
     """
@@ -264,6 +265,16 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
 
     can, s, u, factor = _canonical(omega, ys, t)
     scale = factor * u ** m
+    out = np.empty(len(s), dtype=complex)
+    contours = []
+
+    def one_by_one(idx):
+        for i in idx:
+            vals, conts = _evaluate(omega, m, ys[i:i + 1], t, method)
+            out[i] = vals[0]
+            contours.extend(conts)
+        return out, contours
+
     direct, batches = [], {}   # batches: saddle count -> [(index, system)]
     for i, si in enumerate(s.tolist()):
         if method == "direct" or (method == "auto" and abs(si) < DESCENT_THRESHOLD):
@@ -272,20 +283,13 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
         try:
             system = _descent_system(can, m, si, guarded=method == "auto")
         except DegeneratePhase:
+            if method == "descent" and len(s) > 1:
+                return one_by_one(range(len(s)))
             if method == "descent":
                 raise
             direct.append(i)
             continue
         batches.setdefault(len(system[1].points), []).append((i, system))
-
-    out = np.empty(len(s), dtype=complex)
-    contours = []
-
-    def one_by_one(idx):
-        for i in idx:
-            vals, conts = _evaluate(omega, m, ys[i:i + 1], t, method, tol)
-            out[i] = vals[0]
-            contours.extend(conts)
 
     def store(idx, vals):
         # scaled value by value, as a lone point is scaled: numpy multiplies
@@ -295,8 +299,10 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
     for rows in batches.values():
         idx = [i for i, _ in rows]
         try:
-            vals = _descent_core(can, m, s[idx], [system for _, system in rows], tol)
+            vals = _descent_core(can, m, s[idx], [system for _, system in rows])
         except (NoConvergence, NonFinite) as exc:
+            if method == "descent" and len(s) > 1:
+                return one_by_one(range(len(s)))
             if len(idx) > 1:
                 one_by_one(idx)
             elif method == "auto" and isinstance(exc, NoConvergence):
@@ -310,7 +316,7 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
         lone = len(direct) == 1
         try:
             vals, cont = _direct_core(
-                can, m, float(s[direct[0]]) if lone else s[direct][:, None], tol)
+                can, m, float(s[direct[0]]) if lone else s[direct][:, None])
         except (NoConvergence, NonFinite):
             if lone:
                 raise
@@ -321,7 +327,7 @@ def _evaluate(omega, m, ys, t, method, tol=QUAD_TOL):
     return out, contours
 
 
-def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
+def eval_I(omega, m, y, t, method="auto"):
     """Evaluate I_m(y, t) for a (possibly unnormalized) dispersion relation.
 
     method:
@@ -335,16 +341,16 @@ def eval_I(omega, m, y, t, method="auto", tol=QUAD_TOL):
 
     This is the one-point case of eval_I_grid.
     """
-    return _evaluate(omega, m, [y], t, method, tol)[0][0]
+    return _evaluate(omega, m, [y], t, method)[0][0]
 
 
-def eval_I_grid(omega, m, ys, t, method="direct", tol=QUAD_TOL):
+def eval_I_grid(omega, m, ys, t, method="direct"):
     """Evaluate I_m(y, t) at every y of a non-empty 1-D grid, each point on
     the route eval_I(omega, m, y, t, method) would take, batched by route
     (see _evaluate); a one-point grid gives exactly eval_I, and t = 0 gives
     the closed form point by point.
     """
-    return _evaluate(omega, m, ys, t, method, tol)[0]
+    return _evaluate(omega, m, ys, t, method)[0]
 
 
 def eval_E(n, m, sigma, s):
@@ -431,7 +437,7 @@ def _fornberg(offsets, max_order):
     return c
 
 
-def ode_residual(omega, m, y, t, h=1e-3, method="auto"):
+def ode_residual(omega, m, y, t, h=1e-3):
     """Residual of the exact identity t*omega'(-i d/dy) I_m = y I_m - (m+1) I_{m+1}.
 
     The y-derivatives (orders 0..n-1) are taken by central finite differences
@@ -446,7 +452,7 @@ def ode_residual(omega, m, y, t, h=1e-3, method="auto"):
     half = (dmax + 5) // 2
     offsets = np.arange(-half, half + 1) * h
     vals = np.array(
-        [eval_I(omega, m, y + d, t, method=method) for d in offsets], dtype=complex
+        [eval_I(omega, m, y + d, t) for d in offsets], dtype=complex
     )
     weights = _fornberg(offsets, dmax)
     derivs = weights.T @ vals  # derivs[d] = d-th derivative at y
@@ -456,6 +462,6 @@ def ode_residual(omega, m, y, t, h=1e-3, method="auto"):
         if c != 0 and j >= 2:
             lhs += j * c * (-1j) ** (j - 1) * derivs[j - 1]
     i_m = vals[half]
-    i_m1 = eval_I(omega, m + 1, y, t, method=method)
+    i_m1 = eval_I(omega, m + 1, y, t)
     rhs = (y * i_m - (m + 1) * i_m1) / t
     return abs(lhs - rhs) / (abs(rhs) + 1.0)

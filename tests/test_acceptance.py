@@ -13,7 +13,7 @@ import pytest
 from scipy.special import sici, wofz
 
 from dispgibbs import (PiecewisePolynomialIC, asymptotic_I, box, eval_I,
-                       normalize, ode_residual, overshoot, overshoot_table,
+                       normalize, overshoot, overshoot_table,
                        rescaled_profile, residue_part, smoothed_box, solve,
                        wilbraham_gibbs_constant)
 from dispgibbs.cli import SUITES
@@ -107,31 +107,13 @@ def test_criterion_04_overshoot_convergence(big_table):
 
 
 def test_criterion_05_limits_and_ladder():
-    # the `dispgibbs verify limits` table of far-end values
+    # the `dispgibbs verify limits` table of far-end values, and the
+    # derivative ladder and seeded ODE residuals of `dispgibbs verify ode`
     _, ends = SUITES["limits"]()
     e_end = max(err for _, err, _ in ends)
-
-    stencil = [(-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12)]
-    h = 1e-2
-    e_lad = 0.0
-    for coeffs in ({2: -1j}, {3: 1}, {4: -1j}):
-        om = normalize(coeffs)
-        for m in (0, 1):
-            for y in (0.8, -1.7):
-                fd = sum(w * eval_I(om, m, y + k * h, 0.7)
-                         for k, w in stencil) / h
-                e_lad = max(e_lad, abs(fd - eval_I(om, m - 1, y, 0.7)))
-
-    rng = np.random.default_rng(7)
-    e_ode = 0.0
-    for _ in range(20):
-        n = int(rng.choice([2, 3, 4]))
-        sig = complex(rng.choice([1.0, -1.0])) if n % 2 else \
-            complex(rng.choice([1.0 + 0j, -1j]))
-        m = int(rng.choice([0, 1]))
-        y = float(rng.uniform(0.5, 3.0) * rng.choice([-1, 1]))
-        t = float(rng.uniform(0.3, 1.5))
-        e_ode = max(e_ode, ode_residual(normalize({n: sig}), m, y, t, 1e-2))
+    ode = {label: err for label, err, _ in SUITES["ode"]()[1]}
+    e_lad = ode["derivative ladder (12 samples)"]
+    e_ode = ode["ode residual (20 seeded samples, h 1e-2)"]
 
     ok = e_end < 1e-3 and e_lad < 1e-5 and e_ode < 1e-4
     _line(5, ok, f"endpoint err {e_end:.2e} (< 1e-3, {len(ends)} ends); "

@@ -161,12 +161,13 @@ def test_verify_limits():
 
 
 def test_verify_all_suites():
-    # oracles 3, ode 1, limits 7 (the far ends criterion 05 also checks),
-    # gibbs 2: one ok line per check
+    # oracles 3, ode 3 (two of them criterion 05's ladder and seeded
+    # residuals), limits 7 (the far ends criterion 05 also checks), gibbs 2:
+    # one ok line per check
     r = run("verify")
     assert r.exit_code == 0, r.output
     lines = r.output.splitlines()
-    assert len(lines) == 13 and all(line.startswith("ok   [") for line in lines)
+    assert len(lines) == 15 and all(line.startswith("ok   [") for line in lines)
     suites = {line.split("]")[0][len("ok   ["):] for line in lines}
     assert suites == {"gibbs", "limits", "ode", "oracles"}
 

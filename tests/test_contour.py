@@ -7,7 +7,7 @@ import pytest
 from dispgibbs import (DegeneratePhase, decay_directions, descent_system,
                        direct_contour, integrate_contour, normalize,
                        pole_avoiding_contour, scaled_phase, validate_descent)
-from dispgibbs.contour import _phase_exponent
+from dispgibbs.contour import PHASE_BUDGET, _phase_exponent
 
 
 def _connected(contour, tol=1e-12):
@@ -69,6 +69,42 @@ def test_direct_contour_geometry(coeffs, m, s):
     ref = max(0.0, _phase_exponent(om, s, 0.001j))
     for z in (cont.segments[0].start, cont.segments[-1].end):
         assert _phase_exponent(om, s, z) - ref < -40.0
+
+
+def _phase_bound(om, s, rho, r):
+    # accumulated-phase bound along a straight piece that starts rho from 0
+    return abs(s) * r + sum(abs(c) * ((rho + r) ** j - rho ** j)
+                            for j, c in enumerate(om.coeffs) if j)
+
+
+@pytest.mark.parametrize("m", [-1, 0])
+@pytest.mark.parametrize("s", [-5.0, 2.5])
+@pytest.mark.parametrize("coeffs", [
+    {n: sig} for n in range(2, 10) for sig in ((1.0, -1.0) if n % 2 else (1.0, -1j))
+] + [{3: 1, 2: 1}, {3: -1, 2: -1.46}, {4: -1j, 3: 0.5, 1: 0.3}, {5: 1, 2: -0.5j}])
+def test_direct_contour_phase_budget(coeffs, m, s):
+    om = normalize(coeffs)
+    segs = direct_contour(om, m, s).segments
+    # the real-axis pieces are the ones with exactly real ends; the left ray
+    # leaves the axis at -a, and the right ray starts at +a
+    on_axis = [sg.start.imag == 0 and sg.end.imag == 0 for sg in segs]
+    first = on_axis.index(True)
+    a = -segs[first].start.real
+    last = next(i for i, sg in enumerate(segs) if sg.start.real >= a)
+    left, right = segs[:first], segs[last:]
+    axis = [sg for sg, real in zip(segs[first:last], on_axis[first:last]) if real]
+    assert len(left) >= 2 and len(right) >= 2
+    slack = PHASE_BUDGET * (1 + 1e-9)
+    for sg in axis:
+        assert abs(_phase_bound(om, s, 0.0, abs(sg.end))
+                   - _phase_bound(om, s, 0.0, abs(sg.start))) <= slack
+    for ray, anchor in ((left, -a), (right, a)):
+        for sg in ray:
+            assert abs(_phase_bound(om, s, a, abs(sg.end - anchor))
+                       - _phase_bound(om, s, a, abs(sg.start - anchor))) <= slack
+    ref = max(0.0, _phase_exponent(om, s, 0.001j))
+    for z in (segs[0].start, segs[-1].end):
+        assert _phase_exponent(om, s, z) - ref <= -40.0
 
 
 def test_descent_heat_single_contour_at_quarter_angle():

@@ -66,7 +66,7 @@ def test_ic_algebra():
 
 def test_degree_cap():
     with pytest.raises(ValueError):
-        PiecewisePolynomialIC((0.0, 1.0), ((1.0,) * 12,), max_degree=8)
+        PiecewisePolynomialIC((0.0, 1.0), ((1.0,) * 12,))
     with pytest.raises(ValueError):
         PiecewisePolynomialIC((1.0, 0.0), ((1.0,),))
 

@@ -359,19 +359,20 @@ def test_eval_I_grid_auto_in_the_k5_fallback_window():
 
 
 def test_eval_I_grid_descent_in_the_k5_window_raises_as_its_first_failing_point():
-    # descent has no fallback: the failed batch is evaluated again point by
-    # point, so the grid raises what its first failing point (s = 34) raises
-    # alone; past s = 35 the geometry would fail first, before any quadrature
+    # descent has no fallback: a grid with a failing point is evaluated point
+    # by point in grid order, so it raises what its first failing point
+    # (quadrature at s = 34) raises alone, although the geometry of s >= 35.5
+    # fails before any quadrature would run
     om = normalize({5: 1})
-    ys = np.concatenate([np.linspace(-35.0, -33.0, 5), np.linspace(33.0, 35.0, 5)])
+    ys = np.concatenate([np.linspace(-36.0, -33.0, 7), np.linspace(33.0, 36.0, 7)])
     for m in (0, 1):
         failures = []
         for y in ys:
             try:
                 eval_I(om, m, float(y), 1.0, method="descent")
-            except NoConvergence as exc:
+            except (NoConvergence, DegeneratePhase) as exc:
                 failures.append(exc)
-        assert len(failures) == 3
+        assert [type(exc) for exc in failures] == [NoConvergence] * 3 + [DegeneratePhase] * 2
         with pytest.raises(NoConvergence) as got:
             eval_I_grid(om, m, ys, 1.0, method="descent")
         assert str(got.value) == str(failures[0])
