@@ -18,6 +18,8 @@ Three families:
   has died, aimed at the asymptotic decay directions of exp(X Phi).  The sum
   of the pieces is homotopic to the full path, but every segment now decays,
   which preserves *relative* accuracy even when exp(X Phi(z_j)) is 1e-100.
+  ``descent_batches`` builds the same systems for a whole grid of shapes in
+  one vectorised pass; a lone shape keeps ``descent_system``.
 """
 
 import cmath
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DegeneratePhase, stationary_points
+from .dispersion import (DegeneratePhase, polyder, polyval, stationary_point_rows,
+                         stationary_points, take_rows)
 
 __all__ = [
     "Segment",
@@ -36,6 +39,7 @@ __all__ = [
     "decay_directions",
     "DescentSystem",
     "descent_system",
+    "descent_batches",
     "validate_descent",
     "ValidationReport",
 ]
@@ -283,6 +287,7 @@ class DescentSystem:
     points: tuple            # stationary points, counterclockwise
     angles: tuple            # central segment direction at each point
     contours: tuple          # one three-segment Contour per point
+    # (in a system of descent_batches each entry holds one value per row)
 
 
 def _central_angle(phi2):
@@ -359,6 +364,116 @@ def descent_system(phase):
             Segment(p_plus, q_plus, TAIL_ORDER),
         ), label=f"descent-{j}"))
     return DescentSystem(phase, tuple(pts), tuple(angles), tuple(contours))
+
+
+def _march_rows(logmag, anchor, theta, step0):
+    """_march_out for an array of tails in lockstep; nan where a tail's
+    doubling does not reach the drop."""
+    e = np.exp(1j * theta)
+    L = step0.copy()
+    for _ in range(200):
+        grow = ~(logmag(anchor + L * e) <= -TAIL_DROP)
+        if not grow.any():
+            break
+        L = np.where(grow, 2.0 * L, L)
+    else:
+        L[grow] = np.nan
+    lo = np.where(L <= step0, 0.0, L / 2.0)
+    hi = L
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        down = logmag(anchor + mid * e) <= -TAIL_DROP
+        hi = np.where(down, mid, hi)
+        lo = np.where(down, lo, mid)
+    return hi
+
+
+def descent_batches(phase, reject):
+    """descent_system for every row of a phase from scaled_phase_rows at once.
+
+    Each row gets descent_system's geometry, checks and thresholds, on
+    arrays: one stacked solve for the stationary points, then every tail
+    of every saddle of every row marched and bisected in lockstep.
+    reject(phase, points, starts, ends) flags further rows to drop, from
+    their phase, points (rows, K) and segment ends (rows, K, 3).
+
+    Returns [(rows, system)], one per saddle count K: rows indexes the
+    phase rows that passed, and system's phase holds those rows, points[j]
+    and angles[j] are arrays over them, and contours[j] is saddle j's
+    contour, each segment end a tuple with one complex per row (as
+    integrate_contour takes a batch).  A row in no group failed a check.
+    """
+    roots, count = stationary_point_rows(phase)
+    out = []
+    for K in sorted(set(count[count > 0].tolist())):
+        rows = np.flatnonzero(count == K)
+        with np.errstate(all="ignore"):
+            ok, system = _descent_rows(take_rows(phase, rows), roots[rows, :K], reject)
+        if ok.any():
+            out.append((rows[ok], system))
+    return out
+
+
+def _descent_rows(phase, P, reject):
+    """descent_batches for rows with K saddles each, P (rows, K): returns
+    (ok, system) with system built on the ok rows only."""
+    n = phase.degree
+    K = P.shape[1]
+    X = phase.big_x[:, None]
+    phi2 = -1j * polyval(polyder(tuple(c[:, None] for c in phase.wcoeffs), 2), P)
+    th = _wrap(0.5 * (math.pi - np.angle(phi2)))
+    c = np.cos(th)
+    th = np.where((c < -1e-12) | ((np.abs(c) <= 1e-12) & (np.sin(th) < 0)), _wrap(th + math.pi), th)
+    h = JOINT_WIDTH / np.sqrt(X * np.abs(phi2))
+    sep = np.abs(P[:, :, None] - P[:, None, :])
+    sep[:, np.arange(K), np.arange(K)] = np.inf
+    h = np.minimum(h, 0.35 * sep.min(axis=2))
+    e = np.exp(1j * th)
+    p_minus, p_plus = P - h * e, P + h * e
+    ref = phase.phi_rows(P).real
+
+    # the valleys bracketing each saddle's position angle (_adjacent_valleys)
+    base = (1.5 * math.pi - np.angle(phase.leading)) / n
+    dirs = (base[:, None] + 2.0 * math.pi * np.arange(n) / n) % (2.0 * math.pi)
+    ds = np.sort(dirs % (2.0 * math.pi), axis=1)
+    ext = np.concatenate([ds[:, -1:] - 2.0 * math.pi, ds, ds[:, :1] + 2.0 * math.pi], axis=1)
+    a = np.arctan2(P.imag, P.real) % (2.0 * math.pi)
+    i = (ds[:, None, :] <= a[:, :, None] + 1e-12).sum(axis=2)
+    below = np.take_along_axis(ext, i, axis=1)
+    above = np.take_along_axis(ext, i + 1, axis=1)
+    first = np.cos(below - th) >= np.cos(above - th)
+    fwd, bwd = np.where(first, below, above), np.where(first, above, below)
+    ok = (np.abs(phi2) >= 1e-12).all(axis=1) & (np.cos(fwd - th) > 0.0).all(axis=1)
+    if not ok.any():
+        return ok, None
+
+    X, P, th, h, p_minus, p_plus, ref, fwd, bwd = (
+        v[ok] for v in (X, P, th, h, p_minus, p_plus, ref, fwd, bwd))
+    rows = np.flatnonzero(ok)
+    sub = take_rows(phase, rows)
+    lref = np.concatenate([ref, ref], axis=1)
+    L = _march_rows(lambda z: X * (sub.phi_rows(z).real - lref), np.concatenate([P, P], axis=1),
+                    np.concatenate([fwd, bwd], axis=1),
+                    np.maximum(np.concatenate([h, h], axis=1), 0.25))
+    q_plus = P + L[:, :K] * np.exp(1j * fwd)
+    q_minus = P + L[:, K:] * np.exp(1j * bwd)
+    starts = np.stack([q_minus, p_minus, p_plus], axis=2)
+    ends = np.stack([p_minus, p_plus, q_plus], axis=2)
+    # the tails are probed for ridges: (rows, K, tail, probe)
+    a_, b_ = np.stack([p_plus, q_minus], axis=2), np.stack([q_plus, p_minus], axis=2)
+    probes = a_[..., None] + (b_ - a_)[..., None] * _CREST_PROBES
+    crest = X[:, :, None] * (np.max(sub.phi_rows(probes).real, axis=3) - ref[:, :, None])
+    good = ~np.isnan(L).any(axis=1) & ~(crest > 2.0).any(axis=(1, 2))
+    good &= ~reject(sub, P, starts, ends)
+    ok[rows] = good
+    sub = take_rows(sub, good)
+    P, th, starts, ends = P[good], th[good], starts[good], ends[good]
+    orders = (TAIL_ORDER, CENTRAL_ORDER, TAIL_ORDER)
+    contours = tuple(
+        Contour(tuple(Segment(tuple(starts[:, j, k].tolist()), tuple(ends[:, j, k].tolist()), o)
+                      for k, o in enumerate(orders)), label=f"descent-{j}")
+        for j in range(K))
+    return ok, DescentSystem(sub, tuple(P.T), tuple(th.T), contours)
 
 
 @dataclass(frozen=True)

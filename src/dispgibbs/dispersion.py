@@ -37,7 +37,10 @@ __all__ = [
     "rescaled",
     "ScaledPhase",
     "scaled_phase",
+    "scaled_phase_rows",
+    "take_rows",
     "stationary_points",
+    "stationary_point_rows",
     "expected_stationary_count",
 ]
 
@@ -239,6 +242,13 @@ class ScaledPhase:
     def phi(self, z):
         return 1j * (z - polyval(self.wcoeffs, z))
 
+    def phi_rows(self, z):
+        """phi row by row on a phase from scaled_phase_rows: row r of the
+        (rows, ...) array z is taken at the phase's row r."""
+        flat = z.reshape(len(z), -1)
+        w = tuple(c[:, None] for c in self.wcoeffs)
+        return (1j * (flat - polyval(w, flat))).reshape(z.shape)
+
     def dphi(self, z):
         return 1j * (1.0 - polyval(polyder(self.wcoeffs), z))
 
@@ -265,6 +275,25 @@ def scaled_phase(omega, y, t):
         if c != 0:
             w[j] = (t / big_x) * c * (sigma * s_f) ** j
     return ScaledPhase(omega, sigma, big_x, s_f, tuple(w))
+
+
+def scaled_phase_rows(omega, ys):
+    """scaled_phase(omega, y, 1) for every y of a 1-D array of nonzero shapes
+    at once: a ScaledPhase whose sigma, big_x, scale and coefficients of W
+    are arrays with one entry per y, each as scaled_phase computes it."""
+    n = omega.degree
+    sigma = np.where(ys > 0, 1.0, -1.0)
+    s_f = np.abs(ys) ** (1.0 / (n - 1))
+    big_x = np.abs(ys) * s_f
+    w = tuple((1.0 / big_x) * c * (sigma * s_f) ** j if c != 0 else np.zeros(len(ys), complex)
+              for j, c in enumerate(omega.coeffs))
+    return ScaledPhase(omega, sigma, big_x, s_f, w)
+
+
+def take_rows(phase, rows):
+    """The rows `rows` (an index array) of a ScaledPhase from scaled_phase_rows."""
+    return ScaledPhase(phase.omega, phase.sigma[rows], phase.big_x[rows],
+                       phase.scale[rows], tuple(c[rows] for c in phase.wcoeffs))
 
 
 def expected_stationary_count(n, wlead):
@@ -315,3 +344,39 @@ def stationary_points(phase):
     keep = [complex(z.real, max(z.imag, 0.0)) for z in keep]
     keep.sort(key=lambda z: (math.atan2(z.imag, z.real), abs(z)))
     return keep
+
+
+def stationary_point_rows(phase):
+    """stationary_points for every row of a phase from scaled_phase_rows.
+
+    One stacked eigenvalue call solves the companion matrices np.roots
+    would build, then every row gets the same polish, collision check, count
+    check and order.  Returns (points, count): points is (rows, n - 1), each
+    row's count upper-half-plane points first, in stationary_points' order;
+    count is 0 on the rows stationary_points would reject.
+    """
+    dw = polyder(phase.wcoeffs)
+    f = tuple(c[:, None] for c in (dw[0] - 1.0,) + dw[1:])
+    p = np.concatenate(f[::-1], axis=1)    # descending, as np.roots takes them
+    rows, deg = p.shape[0], p.shape[1] - 1
+    comp = np.zeros((rows, deg, deg), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+    roots = np.linalg.eigvals(comp)
+    df = polyder(f)
+    for _ in range(2):
+        fz = polyval(f, roots)
+        dfz = polyval(df, roots)
+        ok = np.abs(dfz) > 1e-30
+        roots[ok] -= fz[ok] / dfz[ok]
+
+    gap = np.abs(roots[:, :, None] - roots[:, None, :])
+    near = gap < COLLISION_TOL * np.maximum(1.0, np.abs(roots))[:, :, None]
+    collide = np.triu(near, 1).any(axis=(1, 2))
+    keep = roots.imag >= -1e-12
+    want = np.array([expected_stationary_count(phase.degree, w) for w in phase.leading.tolist()])
+    count = np.where(~collide & (keep.sum(axis=1) == want), want, 0)
+    roots.imag[roots.imag < 0.0] = 0.0    # max(imag, 0.0), which keeps -0.0
+    angle = np.where(keep, np.arctan2(roots.imag, roots.real), np.inf)
+    order = np.lexsort((np.abs(roots), angle), axis=1)
+    return np.take_along_axis(roots, order, axis=1), count

@@ -19,8 +19,10 @@ when the answer is 1e-100 of the integrand scale.  t = 0 is exact:
 I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  Every query goes
 through one router, _evaluate, which takes a grid of y at one
 (omega, m, t) and shares the work within a route: one direct contour for
-the direct points, and one quadrature rule per saddle segment for the
-descent points.  eval_I is its one-point case, eval_I_grid its grid case.
+the direct points; for the descent points, one batched build of their
+saddle geometry (a lone point keeps the scalar builder) and one quadrature
+rule per saddle segment.  eval_I is its one-point case, eval_I_grid its
+grid case.
 """
 
 import cmath
@@ -29,13 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import JOINT_WIDTH, Contour, Segment, descent_system, direct_contour
+from .contour import JOINT_WIDTH, descent_batches, descent_system, direct_contour
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
     normalize,
+    polyder,
     polyval,
     scaled_phase,
+    scaled_phase_rows,
 )
 from .quadrature import NoConvergence, NonFinite, integrate_contour
 
@@ -155,7 +159,7 @@ def _pole_rho(seg):
 
 def _descent_system(can, m, s, guarded):
     """Descent contours at the shape s, once its geometry passes the guards:
-    returns (phase, system) or raises DegeneratePhase."""
+    returns the DescentSystem or raises DegeneratePhase."""
     if s == 0:
         raise DegeneratePhase("descent evaluation needs y != 0")
     phase = scaled_phase(can, s, 1.0)
@@ -187,12 +191,47 @@ def _descent_system(can, m, s, guarded):
             zeta = X * abs(complex(phase.d3phi(zj))) * h ** 3 / 6.0
             if zeta > ZETA_MAX:
                 raise DegeneratePhase("saddles too close for quadratic descent scaling")
-    return phase, system
+    return system
 
 
-def _descent_core(can, m, s, systems):
-    """Descent-route values at the shapes s, one (phase, system) from
-    _descent_system per shape, all with the same number of saddles.
+def _descent_batches(can, m, s, guarded):
+    """_descent_system for every shape of the 1-D array s at once, one
+    descent_batches build: returns [(rows, system)], one per saddle count,
+    with system holding the shapes s[rows]; a shape in no group failed a
+    check.  The guards are _descent_system's, row by row."""
+
+    def reject(phase, P, a, b):
+        X = phase.big_x[:, None]
+        W = tuple(c[:, None] for c in phase.wcoeffs)
+        bad = np.zeros(len(P), dtype=bool)
+        if m >= 0:
+            d = b - a                       # _nearest_to_origin, per segment
+            L2 = np.abs(d) ** 2
+            tt = np.clip(-(a.real * d.real + a.imag * d.imag) / L2, 0.0, 1.0)
+            near = np.where(L2 == 0, a, a + tt * d)
+            dmin = np.abs(near).min(axis=(1, 2))
+            bad |= dmin < 1e-3
+            if guarded:
+                bad |= dmin < 0.05 * np.maximum(np.abs(P).min(axis=1), 1e-6)
+            w = -(a + b) / d                # _pole_rho, per segment
+            r = np.sqrt(w * w - 1.0)
+            rho = np.maximum(np.abs(w + r), np.abs(w - r))
+            depth = X[:, :, None] * (phase.phi_rows(near).real - phase.phi_rows(P).real[:, :, None])
+            bad |= (depth - 1024.0 * np.log(rho) > POLE_TAIL).any(axis=(1, 2))
+        if guarded:
+            h = JOINT_WIDTH / np.sqrt(X * np.abs(polyval(polyder(W, 2), P)))
+            zeta = X * np.abs(polyval(polyder(W, 3), P)) * h ** 3 / 6.0
+            bad |= (zeta > ZETA_MAX).any(axis=1)
+        return bad
+
+    live = np.flatnonzero(s != 0)
+    return [(live[rows], system)
+            for rows, system in descent_batches(scaled_phase_rows(can, s[live]), reject)]
+
+
+def _descent_core(can, m, s, system):
+    """Descent-route values at the shapes s: one shape with its own
+    DescentSystem, or several with one system of descent_batches.
 
     Saddle j's segments are integrated for every point at once: one rule
     per segment serves all the points' copies of it, with the integrand
@@ -200,15 +239,14 @@ def _descent_core(can, m, s, systems):
     level c and coefficients of W as one row of a (points, nodes) matrix;
     a segment is accepted when every row passes.  One point is eval_I.
     """
-    phases = [phase for phase, _ in systems]
-    X = np.array([phase.big_x for phase in phases])[:, None]
-    W = tuple(np.array(col)[:, None] for col in zip(*(ph.wcoeffs for ph in phases)))
+    phase = system.phase
+    X = np.reshape(phase.big_x, (-1, 1))
+    W = tuple(np.reshape(c, (-1, 1)) for c in phase.wcoeffs)
     two_pi = 2.0 * math.pi
     total = 0j
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for j in range(len(systems[0][1].points)):
-            c_ref = np.array([phase.big_x * complex(phase.phi(system.points[j])).real
-                              for phase, system in systems])
+        for zj, cont in zip(system.points, system.contours):
+            c_ref = np.reshape(phase.big_x * np.real(phase.phi(zj)), -1)
             if c_ref.max() > 700.0:
                 raise NonFinite("descent saddle magnitude overflows")
 
@@ -218,18 +256,12 @@ def _descent_core(can, m, s, systems):
                     val = val / (1j * z) ** (m + 1)
                 return val / two_pi
 
-            if len(systems) == 1:   # one point integrates its own contour
-                cont = systems[0][1].contours[j]
-            else:
-                cont = Contour(tuple(
-                    Segment(tuple(sg.start for sg in col), tuple(sg.end for sg in col),
-                            col[0].order)
-                    for col in zip(*(system.contours[j].segments for _, system in systems))))
             total = total + integrate_contour(g, cont, tol=QUAD_TOL) * np.exp(c_ref)
 
     # sigma^(m+1) s_f^(-m) per point
-    pref = np.array([(-1.0 if (ph.sigma < 0 and (m + 1) % 2 == 1) else 1.0)
-                     * ph.scale ** (-m) for ph in phases])
+    pref = np.array([(-1.0 if (sg < 0 and (m + 1) % 2 == 1) else 1.0) * sf ** (-m)
+                     for sg, sf in zip(np.ravel(phase.sigma).tolist(),
+                                       np.ravel(phase.scale).tolist())])
     residue = np.array([residue_part(can, m, float(si), 1.0) for si in s])
     return residue + pref * total
 
@@ -241,14 +273,17 @@ def _evaluate(omega, m, ys, t, method):
 
     The direct points share one direct contour, built for the range of
     their shapes; a lone direct point keeps the scalar quadrature path.
-    The descent points keep their own saddle contours and guards, and those
-    with the same number of saddles share every quadrature rule (see
-    _descent_core).  Under auto a point whose descent geometry fails its
-    guards joins the direct batch, and so does a lone descent point whose
-    quadrature does not converge.  A batch of several points that raises
-    NoConvergence or NonFinite is evaluated again point by point, and so is
-    the whole grid, in grid order, when any point fails under descent (which
-    has no fallback), so a grid answers or raises as its points would alone.
+    The geometry of two or more descent points is built in one batch
+    (_descent_batches), with every guard of the lone build applied row by
+    row, and a lone descent point keeps the scalar builder
+    (_descent_system); the points with the same number of saddles share
+    every quadrature rule (see _descent_core).  Under auto a point whose
+    descent geometry fails its guards joins the direct batch, and so does
+    a lone descent point whose quadrature does not converge.  A batch of
+    several points that raises NoConvergence or NonFinite is evaluated
+    again point by point, and so is the whole grid, in grid order, when
+    any point fails under descent (which has no fallback), so a grid
+    answers or raises as its points would alone.
 
     Returns (values, contours integrated); the closed form integrates none.
     """
@@ -275,31 +310,37 @@ def _evaluate(omega, m, ys, t, method):
             contours.extend(conts)
         return out, contours
 
-    direct, batches = [], {}   # batches: saddle count -> [(index, system)]
+    guarded = method == "auto"
+    direct, descent = [], []
     for i, si in enumerate(s.tolist()):
-        if method == "direct" or (method == "auto" and abs(si) < DESCENT_THRESHOLD):
+        if method == "direct" or (guarded and abs(si) < DESCENT_THRESHOLD):
             direct.append(i)
-            continue
+        else:
+            descent.append(i)
+    batches = []   # (indices, the system of their descent contours)
+    if len(descent) == 1:   # a lone descent point builds its own contours
         try:
-            system = _descent_system(can, m, si, guarded=method == "auto")
+            batches.append((descent, _descent_system(can, m, s[descent[0]], guarded)))
         except DegeneratePhase:
-            if method == "descent" and len(s) > 1:
-                return one_by_one(range(len(s)))
             if method == "descent":
                 raise
-            direct.append(i)
-            continue
-        batches.setdefault(len(system[1].points), []).append((i, system))
+    elif descent:
+        batches = [([descent[r] for r in rows.tolist()], system)
+                   for rows, system in _descent_batches(can, m, s[descent], guarded)]
+    passed = {i for idx, _ in batches for i in idx}
+    failed = [i for i in descent if i not in passed]
+    if failed and method == "descent":
+        return one_by_one(range(len(s)))
+    direct = sorted(direct + failed)
 
     def store(idx, vals):
         # scaled value by value, as a lone point is scaled: numpy multiplies
         # a complex array and a complex scalar differently
         out[idx] = [scale * v for v in np.atleast_1d(vals)]
 
-    for rows in batches.values():
-        idx = [i for i, _ in rows]
+    for idx, system in batches:
         try:
-            vals = _descent_core(can, m, s[idx], [system for _, system in rows])
+            vals = _descent_core(can, m, s[idx], system)
         except (NoConvergence, NonFinite) as exc:
             if method == "descent" and len(s) > 1:
                 return one_by_one(range(len(s)))
@@ -311,7 +352,7 @@ def _evaluate(omega, m, ys, t, method):
                 raise
             continue
         store(idx, vals)
-        contours.extend(c for _, (_, system) in rows for c in system.contours)
+        contours.extend(system.contours)
     if direct:
         lone = len(direct) == 1
         try:

@@ -203,9 +203,11 @@ def test_array_solve_matches_scalar_solve(ic):
 def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
     # profilers and work budgets wrap these names where the package looks
     # them up; a grid solve must build and integrate through them, with one
-    # descent system per point but shared contours and rules
-    calls = {"descent_system": 0, "direct_contour": 0, "integrate_contour": 0}
-    contours, rules = [], []
+    # batched descent build per jump instead of a descent system per point,
+    # and one contour integral per saddle of each batch
+    calls = {"descent_system": 0, "descent_batches": 0, "direct_contour": 0,
+             "integrate_contour": 0}
+    contours, rules, saddles = [], [], []
 
     def counted(name):
         original = getattr(special, name)
@@ -214,7 +216,10 @@ def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
             calls[name] += 1
             if name == "integrate_contour":
                 contours.append(args[1])
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if name == "descent_batches":
+                saddles.extend(len(system.points) for _, system in result)
+            return result
         return hook
 
     for name in calls:
@@ -230,6 +235,7 @@ def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
     solve(smoothed_box(0.1), {3: 1}, xs, 1e-3)
     jumps = len(jump_decomposition(smoothed_box(0.1)))
     assert 0 < calls["direct_contour"] <= jumps
-    assert calls["descent_system"] > len(xs)         # per point, over the jumps
-    assert calls["integrate_contour"] < calls["descent_system"] / 4
+    assert calls["descent_system"] == 0              # no per-point build
+    assert 0 < calls["descent_batches"] <= jumps
+    assert calls["integrate_contour"] <= sum(saddles) + calls["direct_contour"]
     assert set(rules) == {(sg.start, sg.end) for c in contours for sg in c.segments}

@@ -344,6 +344,66 @@ def test_eval_I_grid_auto_matches_pointwise(coeffs):
                     assert abs(g - want) <= 1e-12 * abs(want), (coeffs, t, m, y)
 
 
+def _batched_matches_lone(om, m, ys, t, guarded):
+    """Every row of one batched descent build against the lone build of the
+    same shape: the same pass or fail, the same stationary points and
+    segment ends within 1e-12 (1 + |z|); returns (passed, failed)."""
+    can, s, _, _ = special._canonical(om, np.asarray(ys, dtype=float), t)
+    built = {}
+    for rows, system in special._descent_batches(can, m, s, guarded):
+        for r, i in enumerate(rows.tolist()):
+            built[i] = (r, system)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * (1 + abs(b))
+
+    outcome = [0, 0]
+    for i, si in enumerate(s.tolist()):
+        try:
+            lone = special._descent_system(can, m, si, guarded)
+        except DegeneratePhase:
+            lone = None
+        assert (lone is None) == (i not in built), (si, m, guarded)
+        outcome[lone is None] += 1
+        if lone is None:
+            continue
+        r, system = built[i]
+        assert len(system.points) == len(lone.points)
+        assert all(close(z[r], w) for z, w in zip(system.points, lone.points)), si
+        for cb, cl in zip(system.contours, lone.contours):
+            for sb, sl in zip(cb.segments, cl.segments):
+                assert sb.order == sl.order
+                assert close(sb.start[r], sl.start) and close(sb.end[r], sl.end), (si, sl)
+    return outcome
+
+
+@pytest.mark.parametrize("coeffs", ROUTE_SYMBOLS.values(), ids=ROUTE_SYMBOLS.keys())
+def test_batched_descent_build_matches_lone_builds(coeffs):
+    # the grid straddles |s| = 4, holds s = 0, which descent refuses, and
+    # shapes so close to 0 that the pole guard rejects some of them
+    om = normalize(coeffs)
+    outcome = np.zeros(2, dtype=int)
+    shapes = np.concatenate([np.linspace(-12.0, 12.0, 49), [-0.1, 0.05, 0.1]])
+    for t in (1e-2, 1.0):
+        u = (abs(om.leading) * t) ** (1.0 / om.degree)
+        ys = shapes * u + om.drift * t
+        for m in (-1, 0, 1, 2):
+            for guarded in (True, False):
+                outcome += _batched_matches_lone(om, m, ys, t, guarded)
+    assert outcome.min() > 0      # both outcomes occur
+
+
+def test_batched_descent_build_matches_lone_builds_in_the_k5_window():
+    # around |s| = 34 the k^5 tails cross growth ridges from s = 35.5 on
+    om = normalize({5: 1})
+    ys = np.concatenate([np.linspace(-36.0, -33.0, 13), np.linspace(33.0, 36.0, 13)])
+    outcome = np.zeros(2, dtype=int)
+    for m in (-1, 0, 1, 2):
+        for guarded in (True, False):
+            outcome += _batched_matches_lone(om, m, ys, 1.0, guarded)
+    assert outcome.min() > 0
+
+
 def test_eval_I_grid_auto_in_the_k5_fallback_window():
     # around |s| = 34.5 the k^5 descent does not converge and eval_I falls
     # back to direct; the grid's descent batch fails there and its points
