@@ -90,6 +90,113 @@ def I_oracle(coeffs, m, y, t):
     return total
 
 
+REAL_AXIS_DROP = 60     # the real axis is cut 1.2x past where exp(Im omega t) < e^-60
+REAL_AXIS_DETOUR = mp.mpf('0.5')
+
+
+def real_cut(coeffs, sign):
+    """1.2 times the distance past which P(x) = sum_{j>=2} Im(c_j)(sign x)^j
+    stays below -REAL_AXIS_DROP: the largest real part over the roots of
+    P + REAL_AXIS_DROP, when P has a negative leading term on that side."""
+    n = max(coeffs)
+    p = [mp.im(mp.mpc(coeffs.get(j, 0))) * sign**j for j in range(n, 1, -1)]
+    while p and p[0] == 0:
+        p.pop(0)
+    if not p or p[0] > 0:
+        raise ValueError(f"the real axis of {coeffs} does not decay toward {sign}inf")
+    p += [0, REAL_AXIS_DROP]
+    roots = mp.polyroots(p, maxsteps=400, extraprec=200)
+    return mp.mpf('1.2') * max(mp.mpf(0), max(mp.re(r) for r in roots))
+
+
+def I_real_axis_oracle(coeffs, m, y, t):
+    """(1/2pi) int exp(iky - i omega(k) t)/(ik)^(m+1) dk along the real axis
+    itself, for a symbol whose real axis decays toward both ends.
+
+    The integral is taken in the unit k = kappa/u, u = (|c_n| t)^(1/n), where
+    it is u^m (1/2pi) int exp(i kappa s - i w(kappa))/(i kappa)^(m+1) d kappa
+    with s = y/u and w_j = c_j t/u^j.  There the semicircle over kappa = 0
+    (none when m = -1) has the fixed radius 0.5, whatever the integrand does
+    along it: the work runs at 60 digits plus the digits that the bound
+    |s| r + sum_j |w_j| r^j on its rise costs.  Each end is cut by
+    real_cut, and both stretches are split into pieces of equal phase bound
+    |s| x + sum_j |w_j| x^j, 10 radians or less each.
+    """
+    n = max(coeffs)
+    r = REAL_AXIS_DETOUR if m >= 0 else mp.mpf(0)
+    u = (abs(complex(coeffs[n])) * t) ** (1.0 / n)
+    rise = abs(y / u) * r + sum(abs(complex(c)) * t / u**j * r**j for j, c in coeffs.items() if j)
+    with mp.workdps(60 + int(rise / mp.log(10))):
+        u = (abs(mp.mpc(coeffs[n])) * mp.mpf(t)) ** (mp.mpf(1) / n)
+        w = {j: mp.mpc(c) * mp.mpf(t) / u**j for j, c in coeffs.items()}
+        s = mp.mpf(y) / u
+
+        def g(k):
+            return mp.e**(1j * k * s - 1j * omega_eval(w, k)) / (1j * k)**(m + 1) / TWO_PI
+
+        def phase_bound(x):
+            return abs(s) * x + sum(abs(c) * x**j for j, c in w.items() if j)
+
+        total = mp.mpc(0)
+        for sign in (-1, 1):
+            end = real_cut(w, sign)
+            lo, hi = phase_bound(r), phase_bound(end)
+            pieces = int(mp.ceil((hi - lo) / 10))
+            knots = [r]
+            for i in range(1, pieces):
+                target = lo + (hi - lo) * i / pieces
+                knots.append(mp.findroot(lambda x: phase_bound(x) - target,
+                                         (knots[-1], end), solver='illinois'))
+            part = mp.quad(g, [sign * x for x in knots + [end]])
+            total += part if sign > 0 else -part
+        if m >= 0:
+            # semicircle over the pole, phi from pi down to 0
+            total -= mp.quad(lambda p: g(r * mp.e**(1j * p)) * 1j * r * mp.e**(1j * p), [0, mp.pi])
+        return u**m * total
+
+
+# Mixed symbols whose real axis decays toward both ends, each (coeffs, m, y,
+# t).  The first six are seeded draws of the benchmark's queries workload
+# (seed 1) on which the direct contour, bent at its old radius, ran past the
+# work budget; the seventh puts a large negative s against a large c_2 on
+# the detour over the pole; the last two are the dominant-c_2 cubic at
+# t = 83, whose old bend radius needed about 2e6 segments per side.
+MIXED_DRAWS = {
+    "mixed42_I1_s-0.045": ({4: 0.5090982788060763 - 0.016397292165605315j,
+                            3: 0.011020463869354034,
+                            2: -24.22478768304256 - 22.644281191764914j},
+                           1, -0.07633985287642595, 16.665319039548905),
+    "mixed76_kernel_s8.9": ({7: -1.1148517293464182, 3: 0.007344672685578378,
+                             6: 12.19882631074363 - 22.345367053594565j},
+                            -1, 10.822407725504462, 3.6492806230079005),
+    "mixed32_I2_s0.033": ({3: -0.5423708680558151,
+                           2: -38.702524019148846 - 90.18438959808397j},
+                          2, 0.03436241182108733, 2.0085105193338184),
+    "mixed42_I0_s-12": ({4: 0.26801844597677743 - 0.6353532519303401j,
+                         2: 164.24888161923832 - 103.6307186161782j},
+                        0, -8.614521001339332, 0.34176837400056437),
+    "mixed96_I2_s6.0": ({9: 0.7767111059916589,
+                         6: -18.38310811856726 - 22.054128647332725j},
+                        2, 7.4611773542844055, 9.39023831342648),
+    "mixed642_I1_s-41": ({6: 1.541829984369468 - 0.5865794659130712j,
+                          4: 23.012092354145636 - 32.268955086139684j,
+                          2: -0.005198145757675704 - 0.0008535841460363383j},
+                         1, -80.99024372952839, 38.26373852376045),
+    "mixed32_I2_s-30": ({3: -1, 2: 133.68 - 3.429j}, 2, -29.9, 1.0),
+    "mixed32_I0_y0_t83": ({3: -1, 2: 26.4 - 0.32j}, 0, 0.0, 83.0),
+    "mixed32_I0_y5_t83": ({3: -1, 2: 26.4 - 0.32j}, 0, 5.0, 83.0),
+}
+
+
+def frozen_mixed():
+    """MIXED_DRAWS with their I_real_axis_oracle values, as FROZEN_MIXED entries."""
+    out = {}
+    for key, (coeffs, m, y, t) in MIXED_DRAWS.items():
+        re, im = c(I_real_axis_oracle(coeffs, m, y, t))
+        out[key] = (coeffs, m, y, t, float(re), float(im))
+    return out
+
+
 def c(z, digits=17):
     z = mp.mpc(z)
     return (mp.nstr(mp.re(z), digits), mp.nstr(mp.im(z), digits))
@@ -227,6 +334,16 @@ def main():
 
     print("FROZEN = {")
     for k, v in frozen.items():
+        print(f"    {k!r}: {v},")
+    print("}")
+
+    print("== real-axis oracle against the bent one (damped cubic, mixed quartic) ==")
+    ok &= check("damped3 I0(1.7,0.6)", I_real_axis_oracle({3: 1, 2: -1j}, 0, 1.7, 0.6),
+                I_oracle({3: mp.mpc(1), 2: mp.mpc(0, -1)}, 0, 1.7, 0.6))
+    ok &= check("mixed4 I2(-1.3,0.3)", I_real_axis_oracle({4: 1, 2: -3j}, 2, -1.3, 0.3),
+                I_oracle({4: mp.mpc(1), 2: mp.mpc(0, -3)}, 2, -1.3, 0.3))
+    print("FROZEN_MIXED = {")
+    for k, v in frozen_mixed().items():
         print(f"    {k!r}: {v},")
     print("}")
     print("ALL OK" if ok else "SOME CHECKS FAILED")

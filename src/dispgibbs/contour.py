@@ -6,11 +6,14 @@ Three families:
   semicircular detour passing above k = 0 (the detour is what distinguishes
   the integral from a principal value when m >= 0).
 
-* ``direct_contour`` -- the pole-avoiding path with both ends bent off the
-  real axis into directions where exp(-i omega(k) t) decays.  For odd-degree
-  real relations there is *no* decay along the real axis itself, so bending
-  is not an optimization but the only way to truncate; the bend radius is
-  chosen outside all saddles so the homotopy never changes the value.
+* ``direct_contour`` -- the pole-avoiding path, each end either cut on the
+  real axis where exp(-i omega(k) t) has already died there, or bent off
+  it into a direction where it decays.  Odd-degree real relations never
+  decay on the real axis, so they are always bent; the bend radius is
+  chosen outside all saddles so the homotopy never changes the value.  The
+  detour is small enough that the integrand cannot grow along it, and a
+  contour that would need more than MAX_SEGMENTS pieces raises
+  NoConvergence before it is built.
 
 * ``descent_system`` -- one short three-segment path per stationary point
   z_j of the rescaled phase Phi: a central segment through z_j along the
@@ -30,6 +33,7 @@ import numpy as np
 
 from .dispersion import (DegeneratePhase, polyder, polyval, stationary_point_rows,
                          stationary_points, take_rows)
+from .quadrature import NoConvergence
 
 __all__ = [
     "Segment",
@@ -47,8 +51,9 @@ __all__ = [
 # drop in exp(Re X Phi) from the saddle to the tail ends; e^-45 ~ 2.9e-20
 TAIL_DROP = 45.0
 ARC_CHORDS = 8
-BEND_PAD = 1.3          # direct bend radius over the saddle and dominance radii
+BEND_PAD = 1.3          # direct bend radius over the saddle and dominance radii, at most 1 + 1/n
 PHASE_BUDGET = 120.0    # radians of accumulated-phase bound per direct segment
+MAX_SEGMENTS = 10_000   # pieces one stretch of a direct contour may be split into
 JOINT_WIDTH = 6.0       # central half-width in 1/sqrt(X |Phi''|): joints sit e^-18 down
 CENTRAL_ORDER = 96      # initial Clenshaw-Curtis orders of the descent segments
 TAIL_ORDER = 64
@@ -160,7 +165,9 @@ def _march_out(logmag, anchor, theta, step0):
 
 def _phase_knots(omega, s, rho, lo, hi, pieces):
     """Split [lo, hi] into at least `pieces` pieces of equal phase, each
-    within PHASE_BUDGET, on a straight path starting rho from the origin.
+    within PHASE_BUDGET, on a straight path starting rho from the origin;
+    raises NoConvergence, before any bisection, when that takes more than
+    MAX_SEGMENTS pieces.
 
     The phase density (s - omega'(z)) is wildly nonuniform for steep
     symbols -- near the bend an equal-width piece can hold thousands of
@@ -177,7 +184,10 @@ def _phase_knots(omega, s, rho, lo, hi, pieces):
         return tot
 
     total = phi(hi) - phi(lo)
-    k = max(pieces, int(math.ceil(total / PHASE_BUDGET)))
+    need = total / PHASE_BUDGET
+    if not need <= MAX_SEGMENTS:   # nan and inf included
+        raise NoConvergence(f"direct contour needs {need:.3g} segments")
+    k = max(pieces, int(math.ceil(need)))
     knots = [lo]
     for i in range(1, k):
         target = phi(lo) + total * i / k
@@ -225,19 +235,55 @@ def _adjacent_valleys(alpha, dirs):
     return below, above
 
 
-def direct_contour(omega, m, s_lo, s_hi=None, order=64):
-    """Bent pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
+def _real_cut(omega, level, sign):
+    """The distance X past which the real-axis log-magnitude
+    P(x) = sum_j Im(omega_j) (sign x)^j of exp(-i omega) stays below level,
+    or None when P has no negative leading term on that side.
 
-    omega must already have t folded in (t=1).  The bend radius sits outside
-    every saddle of the full phase and outside the region where lower-order
-    terms compete with the leading one, so only decaying tails are cut.
-    The oscillatory stretch [-a, a] is split so each segment holds a bounded
-    number of radians of phase (PHASE_BUDGET), and so is each truncation ray.
+    X is the largest real part over the roots of P - level: past it
+    P - level keeps the sign of its leading term.
+    """
+    p = [c.imag * sign ** j for j, c in enumerate(omega.coeffs)]
+    while p and p[-1] == 0.0:
+        p.pop()
+    if not p or p[-1] > 0.0:
+        return None
+    p[0] -= level
+    return max(0.0, float(np.roots(p[::-1]).real.max()))
+
+
+def _arc_radius(omega, s_lo, a):
+    """The largest r up to min(0.5, a/4) with
+    max(0, -s_lo) r + sum_j |omega_j| r^j <= 1: along a detour of radius r
+    the integrand stays within a factor e of its value by the pole."""
+
+    def rise(r):
+        return max(0.0, -s_lo) * r + sum(abs(c) * r ** j for j, c in enumerate(omega.coeffs) if c)
+
+    r0 = min(0.5, a / 4.0)
+    return r0 if rise(r0) <= 1.0 else _bisect(lambda r: rise(r) > 1.0, 0.0, r0)[0]
+
+
+def direct_contour(omega, m, s_lo, s_hi=None, order=64):
+    """Pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
+
+    omega must already have t folded in (t=1).  Each side ends where the
+    integrand has fallen TAIL_DROP below its value by the pole: on the real
+    axis itself when it dies there before the bend radius a (_real_cut),
+    otherwise on a ray bent off the axis at a.  The bend radius sits
+    outside every saddle of the full phase and outside the region where
+    lower-order terms compete with the leading one, so only decaying tails
+    are cut.  The real axis is split so each segment holds a bounded number
+    of radians of phase (PHASE_BUDGET), and so is each ray; a stretch that
+    needs more than MAX_SEGMENTS pieces raises NoConvergence.  The detour
+    over the pole is shrunk until the integrand cannot grow along it
+    (_arc_radius), for either sign of s.
 
     One contour serves every s in [s_lo, s_hi] (s_hi defaults to s_lo): the
     log-magnitude Re(izs - i omega(z)) is affine in s, so the rays, the
     reference level and the tail march take its maximum over the two ends,
-    and the bend radius and the phase knots take max |s|.
+    the detour takes s_lo, and the bend radius and the phase knots take
+    max |s|.
     """
     if s_hi is None:
         s_hi = s_lo
@@ -249,35 +295,36 @@ def direct_contour(omega, m, s_lo, s_hi=None, order=64):
     for j, c in enumerate(omega.coeffs[:-1]):
         if c != 0:
             r_dom = max(r_dom, (4.0 * abs(c) / wn) ** (1.0 / (n - j)))
-    a = BEND_PAD * max(1.0, r_saddle, r_dom)
+    a = min(BEND_PAD, 1.0 + 1.0 / n) * max(1.0, r_saddle, r_dom)
 
     def exponent(z):
         # the s-term -s Im(z) peaks over [s_lo, s_hi] at the end Im(z) selects
         return _phase_exponent(omega, s_lo if z.imag >= 0 else s_hi, z)
 
-    th_r = _ray_for_end(omega, exponent, a, True)
-    th_l = _ray_for_end(omega, exponent, -a, False)
     ref = max(0.0, exponent(0.001j))
 
     def logmag(z):
         return exponent(z) - ref
 
-    br_r = _ray_breaks(omega, s_abs, logmag, a, th_r)
-    br_l = _ray_breaks(omega, s_abs, logmag, -a, th_l)
-    # the real axis runs from the detour radius (from 0 with no pole) to a
-    radius = min(0.5, a / 4.0) if m >= 0 else 0.0
-    cuts = _phase_knots(omega, s_abs, 0.0, radius, a, 1)
+    # the real axis runs from the detour radius (from 0 with no pole) out
+    radius = _arc_radius(omega, s_lo, a) if m >= 0 else 0.0
+    paths = []   # each side's knots, outward from the pole
+    for sign in (-1.0, 1.0):
+        cut = _real_cut(omega, ref - TAIL_DROP, sign)
+        bent = cut is None or cut >= a
+        path = [complex(sign * u)
+                for u in _phase_knots(omega, s_abs, 0.0, radius, a if bent else cut, 1)]
+        if bent:
+            th = _ray_for_end(omega, exponent, sign * a, sign > 0)
+            path += [sign * a + r * cmath.exp(1j * th)
+                     for r in _ray_breaks(omega, s_abs, logmag, sign * a, th)[1:]]
+        paths.append(path)
+    left, right = paths
 
-    e_l = cmath.exp(1j * th_l)
-    segs = [Segment(-a + r_far * e_l, -a + r_near * e_l, order)
-            for r_far, r_near in zip(br_l[::-1], br_l[-2::-1])]
-    segs += [Segment(complex(-u), complex(-v), order) for u, v in zip(cuts[::-1], cuts[-2::-1])]
+    segs = [Segment(u, v, order) for u, v in zip(left[::-1], left[-2::-1])]
     if m >= 0:
         segs += _arc(radius, max(16, order // 2))
-    segs += [Segment(complex(u), complex(v), order) for u, v in zip(cuts, cuts[1:])]
-    e_r = cmath.exp(1j * th_r)
-    segs += [Segment(a + r_near * e_r, a + r_far * e_r, order)
-             for r_near, r_far in zip(br_r, br_r[1:])]
+    segs += [Segment(u, v, order) for u, v in zip(right, right[1:])]
     return Contour(tuple(segs), label="direct")
 
 

@@ -197,3 +197,10 @@ def test_contour_dump_prints_the_contours_eval_I_integrates():
     assert descent.exit_code == 0
     assert len(json.loads(descent.output)) == 3      # one saddle, three segments
     eval_I({2: 1}, 0, 1.0, 1.0, method="descent")
+
+
+def test_eval_direct_contour_cap_exits_3():
+    # a dominant real k^7 term at degree 9: about 4e7 direct segments
+    r = run("eval", "--omega", "9:1,7:27.1", "--t", "1", "--y-grid", "0.5:1:2")
+    assert r.exit_code == 3
+    assert "direct contour needs" in r.output

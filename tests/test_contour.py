@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dispgibbs import (DegeneratePhase, decay_directions, descent_system,
+from dispgibbs import (DegeneratePhase, NoConvergence, decay_directions, descent_system,
                        direct_contour, integrate_contour, normalize,
                        pole_avoiding_contour, scaled_phase, validate_descent)
-from dispgibbs.contour import PHASE_BUDGET, _phase_exponent
+from dispgibbs.contour import PHASE_BUDGET, TAIL_DROP, _phase_exponent
+from dispgibbs.special import _canonical
 
 
 def _connected(contour, tol=1e-12):
@@ -77,34 +80,88 @@ def _phase_bound(om, s, rho, r):
                             for j, c in enumerate(om.coeffs) if j)
 
 
+# dominant lower-order terms whose real axis dies before the bend radius:
+# on both sides (the t = 83 cubic, a quintic), or on the right only
+_CUT_83 = _canonical(normalize({3: -1, 2: 26.4 - 0.32j}), 0.0, 83.0)[0]
+_CUT_CASES = [_CUT_83, {5: 1, 4: 20 - 3j}, {4: 1, 3: 2 - 1j}, {3: 1, 2: 30 - 2j}]
+
+
 @pytest.mark.parametrize("m", [-1, 0])
 @pytest.mark.parametrize("s", [-5.0, 2.5])
 @pytest.mark.parametrize("coeffs", [
     {n: sig} for n in range(2, 10) for sig in ((1.0, -1.0) if n % 2 else (1.0, -1j))
-] + [{3: 1, 2: 1}, {3: -1, 2: -1.46}, {4: -1j, 3: 0.5, 1: 0.3}, {5: 1, 2: -0.5j}])
+] + [{3: 1, 2: 1}, {3: -1, 2: -1.46}, {4: -1j, 3: 0.5, 1: 0.3}, {5: 1, 2: -0.5j}] + _CUT_CASES)
 def test_direct_contour_phase_budget(coeffs, m, s):
     om = normalize(coeffs)
     segs = direct_contour(om, m, s).segments
-    # the real-axis pieces are the ones with exactly real ends; the left ray
-    # leaves the axis at -a, and the right ray starts at +a
+    # the real-axis pieces are the ones with exactly real ends; a side bent
+    # off the axis leaves it at -a or +a along a ray of two or more pieces,
+    # and a side cut on the axis has no ray
     on_axis = [sg.start.imag == 0 and sg.end.imag == 0 for sg in segs]
     first = on_axis.index(True)
-    a = -segs[first].start.real
-    last = next(i for i, sg in enumerate(segs) if sg.start.real >= a)
+    last = len(segs) - on_axis[::-1].index(True)
     left, right = segs[:first], segs[last:]
     axis = [sg for sg, real in zip(segs[first:last], on_axis[first:last]) if real]
-    assert len(left) >= 2 and len(right) >= 2
+    rays = [(ray, anchor) for ray, anchor in ((left, segs[first].start), (right, segs[last - 1].end))
+            if ray]
+    for ray, _ in rays:
+        assert len(ray) >= 2
     slack = PHASE_BUDGET * (1 + 1e-9)
     for sg in axis:
         assert abs(_phase_bound(om, s, 0.0, abs(sg.end))
                    - _phase_bound(om, s, 0.0, abs(sg.start))) <= slack
-    for ray, anchor in ((left, -a), (right, a)):
+    for ray, anchor in rays:
         for sg in ray:
-            assert abs(_phase_bound(om, s, a, abs(sg.end - anchor))
-                       - _phase_bound(om, s, a, abs(sg.start - anchor))) <= slack
+            assert abs(_phase_bound(om, s, abs(anchor), abs(sg.end - anchor))
+                       - _phase_bound(om, s, abs(anchor), abs(sg.start - anchor))) <= slack
     ref = max(0.0, _phase_exponent(om, s, 0.001j))
     for z in (segs[0].start, segs[-1].end):
         assert _phase_exponent(om, s, z) - ref <= -40.0
+
+
+@pytest.mark.parametrize("coeffs", _CUT_CASES)
+def test_direct_contour_cuts_where_the_real_axis_dies(coeffs):
+    # a side whose real axis dies before the bend radius ends on the axis,
+    # right where the integrand has fallen TAIL_DROP below its value by the
+    # pole; a side that does not die (the left of k^4 + (2 - i) k^3) is bent
+    om = normalize(coeffs)
+    cont = direct_contour(om, 0, 2.5)
+    assert _connected(cont)
+    ends = (cont.segments[0].start, cont.segments[-1].end)
+    assert ends[1].imag == 0 and ends[1].real > 0
+    assert (ends[0].imag == 0) == (om.coeffs[3].imag == 0)
+    ref = max(0.0, _phase_exponent(om, 2.5, 0.001j))
+    for z in ends:
+        if z.imag == 0:
+            assert abs(_phase_exponent(om, 2.5, z) - ref + TAIL_DROP) < 1e-6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 7), lead=st.integers(0, 3),
+       lower=st.lists(st.tuples(st.integers(2, 6), st.floats(-2.0, 2.0),
+                                st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=2),
+       m=st.integers(0, 2), s=st.floats(-66.0, 66.0))
+def test_direct_contour_never_rises_above_the_pole(n, lead, lower, m, s):
+    # on every direct contour of a mixed symbol whose real axis does not
+    # grow (real odd terms, dissipative even ones), at both signs of s, the
+    # integrand stays within a factor e of its value by the pole: the arc
+    # cannot amplify, and the real axis and the rays only decay
+    coeffs = {n: (1.0, -1.0, -1j, cmath.exp(-0.3j))[lead] if n % 2 == 0 else (-1.0) ** lead}
+    for j, size, sgn, damp in lower:
+        if j < n:
+            size = 10.0 ** size
+            coeffs[j] = size * sgn if j % 2 else size * complex(sgn, -damp)
+    om = normalize(coeffs)
+    try:
+        segs = direct_contour(om, m, s).segments
+    except NoConvergence:
+        return
+    ref = max(0.0, _phase_exponent(om, s, 0.001j))
+    u = np.linspace(0.0, 1.0, 17)
+    for sg in segs:
+        z = sg.start + (sg.end - sg.start) * u
+        assert np.max(_phase_exponent(om, s, z)) - ref <= 1.0 + 1e-9
 
 
 def test_descent_heat_single_contour_at_quarter_angle():

@@ -9,7 +9,7 @@ from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
                        ode_residual, residue_part, special)
 
-from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL
+from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL, FROZEN_MIXED
 
 HEAT = normalize({2: -1j})
 SCHRO = normalize({2: 1})
@@ -235,6 +235,65 @@ def test_rescale_consistency():
     lhs = eval_I(om, 1, y, t)
     rhs = t ** (1 / 3) * eval_I(rescaled(om, t), 1, y * t ** (-1 / 3), 1.0)
     assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MIXED))
+def test_frozen_mixed_values(name):
+    # mixed symbols whose real axis dies long before the old bend radius
+    coeffs, m, y, t, re, im = FROZEN_MIXED[name]
+    got = eval_I(normalize(coeffs), m, y, t)
+    assert _close(got, re, im), (name, got, (re, im))
+
+
+def test_direct_cubic_at_large_negative_s():
+    # the detour over the pole shrinks with s < 0, so it carries no e^33
+    # of cancellation at s = -66
+    assert abs(eval_I({3: 1}, 0, -66.0, 1.0, method="direct") + 1.0) <= 1e-12
+
+
+def test_direct_matches_descent_at_negative_s_with_a_quadratic_term():
+    coeffs, m, y, t = {3: -1, 2: -1.46}, 1, -23.32, 0.00197
+    want = eval_I(coeffs, m, y, t, method="descent")
+    got = eval_I(coeffs, m, y, t, method="direct")
+    assert abs(got - want) <= 1e-10 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("name", ["mixed32_I0_y0_t83", "mixed32_I0_y5_t83"])
+def test_dominant_quadratic_is_cheap(name):
+    # the direct contour ends on the real axis where exp(-1.40 x^2) has
+    # died, not at the old bend radius 599
+    coeffs, m, y, t, re, im = FROZEN_MIXED[name]
+    cpu = time.process_time()
+    got = eval_I(coeffs, m, y, t)
+    assert time.process_time() - cpu < 1.0
+    assert _close(got, re, im, tol=1e-12), (got, (re, im))
+
+
+def test_direct_matches_descent_both_signs_of_s():
+    # wherever descent answers, n <= 5, |s| in [4, 66], m in -1..2
+    s_abs = np.geomspace(4.0, 66.0, 12)
+    pairs = 0
+    for coeffs in ({2: 1}, {2: -1j}, {3: 1}, {3: -1}, {4: 1}, {4: -1j}, {5: 1}, {5: -1},
+                   {3: 1, 2: 1}, {3: -1, 2: -1.46}, {4: -1j, 3: 0.5}, {5: 1, 2: -0.5j}):
+        om = normalize(coeffs)
+        for m in (-1, 0, 1, 2):
+            for s in np.concatenate([-s_abs, s_abs]).tolist():
+                try:
+                    want = eval_I(om, m, s, 1.0, method="descent")
+                except (DegeneratePhase, NoConvergence):
+                    continue
+                got = eval_I(om, m, s, 1.0, method="direct")
+                assert abs(got - want) <= 1e-10 * (1 + abs(want)), (coeffs, m, s)
+                pairs += 1
+    assert pairs >= 1000
+
+
+def test_direct_contour_cap_raises_fast():
+    # a dominant real k^7 term at degree 9 would need about 4e7 segments
+    cpu = time.process_time()
+    with pytest.raises(NoConvergence, match="direct contour needs"):
+        eval_I({9: 1, 7: 27.1}, 0, 0.5, 1)
+    assert time.process_time() - cpu < 0.05
 
 
 def test_auto_falls_back_to_direct_when_descent_does_not_converge():
