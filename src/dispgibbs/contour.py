@@ -22,7 +22,12 @@ Three families:
   of the pieces is homotopic to the full path, but every segment now decays,
   which preserves *relative* accuracy even when exp(X Phi(z_j)) is 1e-100.
   ``descent_batches`` builds the same systems for a whole grid of shapes in
-  one vectorised pass; a lone shape keeps ``descent_system``.
+  one vectorised pass; a lone shape keeps ``descent_system``.  A descent
+  system is integrated only when it passes four guards (its segments keep
+  clear of the pole, none is too long for its distance to the pole, and
+  the saddles are far enough apart for the quadratic scaling), written once
+  in ``_guards``: ``descent_batches`` applies them row by row, and
+  ``guard_descent`` to a lone system.
 """
 
 import cmath
@@ -44,6 +49,7 @@ __all__ = [
     "DescentSystem",
     "descent_system",
     "descent_batches",
+    "guard_descent",
     "validate_descent",
     "ValidationReport",
 ]
@@ -58,6 +64,14 @@ JOINT_WIDTH = 6.0       # central half-width in 1/sqrt(X |Phi''|): joints sit e^
 CENTRAL_ORDER = 96      # initial Clenshaw-Curtis orders of the descent segments
 TAIL_ORDER = 64
 _CREST_PROBES = np.linspace(0.0, 1.0, 33)   # where descent tails are probed for ridges
+ZETA_MAX = 40.0         # max tolerated cubic phase (radians) on a central segment
+POLE_TAIL = math.log(1e-4)  # log of the pole tail at order 1024 past which descent gives up
+GUARDS = (              # _guards' messages, in the order they are checked
+    "descent contour passes through the pole",
+    "descent contour crowds the pole",
+    "descent segment too long for its distance to the pole",
+    "saddles too close for quadratic descent scaling",
+)
 
 
 @dataclass(frozen=True)
@@ -435,14 +449,65 @@ def _march_rows(logmag, anchor, theta, step0):
     return hi
 
 
-def descent_batches(phase, reject):
-    """descent_system for every row of a phase from scaled_phase_rows at once.
+def _guards(phi, X, W, P, a, b, m, guarded):
+    """The first of the GUARDS each row of descent contours fails, as an
+    index into GUARDS, or -1 when it passes them all.
 
-    Each row gets descent_system's geometry, checks and thresholds, on
-    arrays: one stacked solve for the stationary points, then every tail
-    of every saddle of every row marched and bisected in lockstep.
-    reject(phase, points, starts, ends) flags further rows to drop, from
-    their phase, points (rows, K) and segment ends (rows, K, 3).
+    phi evaluates the phase row by row on (rows, ...) arrays, X is the
+    (rows, 1) column of X and W holds the coefficients of W as (rows, 1)
+    columns (a lone phase's own phi, X and W broadcast as one row); P holds
+    the (rows, K) stationary points and a, b the (rows, K, 3) segment
+    starts and ends.  The pole guards apply for m >= 0 only, and the
+    crowding and saddle-separation guards only when guarded.
+    """
+    failed = np.zeros((len(GUARDS), len(P)), dtype=bool)
+    if m >= 0:
+        d = b - a                       # each segment's point nearest the pole
+        L2 = np.abs(d) ** 2
+        tt = np.clip(-(a.real * d.real + a.imag * d.imag) / L2, 0.0, 1.0)
+        near = np.where(L2 == 0, a, a + tt * d)
+        dmin = np.abs(near).min(axis=(1, 2))
+        failed[0] = dmin < 1e-3
+        if guarded:
+            failed[1] = dmin < 0.05 * np.maximum(np.abs(P).min(axis=1), 1e-6)
+        # a segment long against its distance to the pole cannot converge
+        # by the order cap: the rules of order 1024 and 2048 still differ
+        # by about rho^-1024 times the integrand next to the pole (here
+        # relative to its saddle value), rho the Bernstein-ellipse
+        # parameter of the pole for the segment
+        w = -(a + b) / d
+        r = np.sqrt(w * w - 1.0)
+        rho = np.maximum(np.abs(w + r), np.abs(w - r))
+        depth = X[..., None] * (phi(near).real - phi(P).real[:, :, None])
+        failed[2] = (depth - 1024.0 * np.log(rho) > POLE_TAIL).any(axis=(1, 2))
+    if guarded:
+        h = JOINT_WIDTH / np.sqrt(X * np.abs(polyval(polyder(W, 2), P)))
+        zeta = X * np.abs(polyval(polyder(W, 3), P)) * h ** 3 / 6.0
+        failed[3] = (zeta > ZETA_MAX).any(axis=1)
+    return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
+
+
+def guard_descent(system, m, guarded):
+    """The lone descent_system `system` once it passes the GUARDS (see
+    _guards); raises DegeneratePhase with the first guard it fails."""
+    phase = system.phase
+    ends = np.array([[[(sg.start, sg.end) for sg in c.segments] for c in system.contours]])
+    with np.errstate(all="ignore"):
+        first = _guards(phase.phi, np.asarray(phase.big_x), phase.wcoeffs, np.array([system.points]),
+                        ends[..., 0], ends[..., 1], m, guarded)[0]
+    if first >= 0:
+        raise DegeneratePhase(GUARDS[first])
+    return system
+
+
+def descent_batches(phase, m, guarded):
+    """descent_system and guard_descent for every row of a phase from
+    scaled_phase_rows at once.
+
+    Each row gets descent_system's geometry, checks and thresholds and the
+    GUARDS, on arrays: one stacked solve for the stationary points, then
+    every tail of every saddle of every row marched and bisected in
+    lockstep.
 
     Returns [(rows, system)], one per saddle count K: rows indexes the
     phase rows that passed, and system's phase holds those rows, points[j]
@@ -455,13 +520,13 @@ def descent_batches(phase, reject):
     for K in sorted(set(count[count > 0].tolist())):
         rows = np.flatnonzero(count == K)
         with np.errstate(all="ignore"):
-            ok, system = _descent_rows(take_rows(phase, rows), roots[rows, :K], reject)
+            ok, system = _descent_rows(take_rows(phase, rows), roots[rows, :K], m, guarded)
         if ok.any():
             out.append((rows[ok], system))
     return out
 
 
-def _descent_rows(phase, P, reject):
+def _descent_rows(phase, P, m, guarded):
     """descent_batches for rows with K saddles each, P (rows, K): returns
     (ok, system) with system built on the ok rows only."""
     n = phase.degree
@@ -511,7 +576,8 @@ def _descent_rows(phase, P, reject):
     probes = a_[..., None] + (b_ - a_)[..., None] * _CREST_PROBES
     crest = X[:, :, None] * (np.max(sub.phi_rows(probes).real, axis=3) - ref[:, :, None])
     good = ~np.isnan(L).any(axis=1) & ~(crest > 2.0).any(axis=(1, 2))
-    good &= ~reject(sub, P, starts, ends)
+    W = tuple(c[:, None] for c in sub.wcoeffs)
+    good &= _guards(sub.phi_rows, X, W, P, starts, ends, m, guarded) < 0
     ok[rows] = good
     sub = take_rows(sub, good)
     P, th, starts, ends = P[good], th[good], starts[good], ends[good]

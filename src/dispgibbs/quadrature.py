@@ -53,12 +53,10 @@ def clenshaw_curtis_rule(order):
     nodes = np.cos(theta)
     j = np.arange(0, order + 1, 2)
     moments = 2.0 / (1.0 - j.astype(float) ** 2)
-    moments[j == 1] = 0.0  # unreachable (j even), kept for clarity
     # halve the first/last terms of the DCT sum (trapezoid-in-j)
     scale = np.ones_like(moments)
     scale[0] = 0.5
-    if j[-1] == order:
-        scale[-1] = 0.5
+    scale[-1] = 0.5
     cosmat = np.cos(np.outer(theta, j))
     weights = (2.0 / order) * (cosmat @ (moments * scale))
     weights[0] *= 0.5

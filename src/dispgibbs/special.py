@@ -27,16 +27,16 @@ grid case.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import JOINT_WIDTH, descent_batches, descent_system, direct_contour
+from .contour import descent_batches, descent_system, direct_contour, guard_descent
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
     normalize,
-    polyder,
     polyval,
     scaled_phase,
     scaled_phase_rows,
@@ -55,24 +55,31 @@ __all__ = [
 ]
 
 DESCENT_THRESHOLD = 4.0   # switch to saddle contours once |y|/u exceeds this
-ZETA_MAX = 40.0           # max tolerated cubic phase (radians) on a central segment
 QUAD_TOL = 1e-10
-POLE_TAIL = math.log(1e-4)  # log of the pole tail at order 1024 past which descent gives up
 
 
-def _validate(m, y, t, method):
-    if not isinstance(m, int) or m < -1:
+def _validate(m, ys, t, method):
+    """Check a query once for its whole grid ys; returns m as an int.
+
+    m may be any integer type but bool; the checks run in the order a lone
+    point has always met them."""
+    try:
+        m_int = operator.index(m)
+    except TypeError:
+        m_int = None
+    if isinstance(m, bool) or m_int is None or m_int < -1:
         raise ValueError(f"m must be an integer >= -1, got {m!r}")
-    if not math.isfinite(y):
+    if not np.isfinite(ys).all():
         raise ValueError("y must be finite")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and >= 0")
-    if t == 0 and m == -1:
+    if t == 0 and m_int == -1:
         raise ValueError("the fundamental solution has no value at t = 0")
-    if t == 0 and y == 0:
+    if t == 0 and (ys == 0).any():
         raise ValueError("I_m(0, 0) is undefined (jump point of the data)")
     if method not in ("auto", "direct", "descent"):
         raise ValueError(f"unknown method {method!r}")
+    return m_int
 
 
 def residue_part(omega, m, y, t):
@@ -138,97 +145,6 @@ def _direct_core(can, m, s):
         return integrate_contour(f, cont, tol=QUAD_TOL), cont
 
 
-def _nearest_to_origin(seg):
-    a, b = seg.start, seg.end
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0:
-        return a
-    tt = -(a.real * d.real + a.imag * d.imag) / L2
-    tt = min(1.0, max(0.0, tt))
-    return a + tt * d
-
-
-def _pole_rho(seg):
-    """Bernstein-ellipse parameter of the pole z = 0 for the segment: with
-    that pole the error of an N-node Clenshaw-Curtis rule decays like rho^-N."""
-    w = -(seg.start + seg.end) / (seg.end - seg.start)
-    r = cmath.sqrt(w * w - 1.0)
-    return max(abs(w + r), abs(w - r))
-
-
-def _descent_system(can, m, s, guarded):
-    """Descent contours at the shape s, once its geometry passes the guards:
-    returns the DescentSystem or raises DegeneratePhase."""
-    if s == 0:
-        raise DegeneratePhase("descent evaluation needs y != 0")
-    phase = scaled_phase(can, s, 1.0)
-    system = descent_system(phase)
-    X = phase.big_x
-
-    if m >= 0:
-        dmin = min(abs(_nearest_to_origin(seg))
-                   for c in system.contours for seg in c.segments)
-        zmin = min(abs(z) for z in system.points)
-        if dmin < 1e-3:
-            raise DegeneratePhase("descent contour passes through the pole")
-        if guarded and dmin < 0.05 * max(zmin, 1e-6):
-            raise DegeneratePhase("descent contour crowds the pole")
-        # a segment long against its distance to the pole cannot converge
-        # by the order cap: the rules of order 1024 and 2048 still differ
-        # by about rho^-1024 times the integrand next to the pole (here
-        # relative to its saddle value)
-        for zj, c in zip(system.points, system.contours):
-            ref = complex(phase.phi(zj)).real
-            for seg in c.segments:
-                near = X * (complex(phase.phi(_nearest_to_origin(seg))).real - ref)
-                if near - 1024.0 * math.log(_pole_rho(seg)) > POLE_TAIL:
-                    raise DegeneratePhase("descent segment too long for its distance to the pole")
-    if guarded:
-        for zj in system.points:
-            phi2 = abs(complex(phase.d2phi(zj)))
-            h = JOINT_WIDTH / math.sqrt(X * phi2)
-            zeta = X * abs(complex(phase.d3phi(zj))) * h ** 3 / 6.0
-            if zeta > ZETA_MAX:
-                raise DegeneratePhase("saddles too close for quadratic descent scaling")
-    return system
-
-
-def _descent_batches(can, m, s, guarded):
-    """_descent_system for every shape of the 1-D array s at once, one
-    descent_batches build: returns [(rows, system)], one per saddle count,
-    with system holding the shapes s[rows]; a shape in no group failed a
-    check.  The guards are _descent_system's, row by row."""
-
-    def reject(phase, P, a, b):
-        X = phase.big_x[:, None]
-        W = tuple(c[:, None] for c in phase.wcoeffs)
-        bad = np.zeros(len(P), dtype=bool)
-        if m >= 0:
-            d = b - a                       # _nearest_to_origin, per segment
-            L2 = np.abs(d) ** 2
-            tt = np.clip(-(a.real * d.real + a.imag * d.imag) / L2, 0.0, 1.0)
-            near = np.where(L2 == 0, a, a + tt * d)
-            dmin = np.abs(near).min(axis=(1, 2))
-            bad |= dmin < 1e-3
-            if guarded:
-                bad |= dmin < 0.05 * np.maximum(np.abs(P).min(axis=1), 1e-6)
-            w = -(a + b) / d                # _pole_rho, per segment
-            r = np.sqrt(w * w - 1.0)
-            rho = np.maximum(np.abs(w + r), np.abs(w - r))
-            depth = X[:, :, None] * (phase.phi_rows(near).real - phase.phi_rows(P).real[:, :, None])
-            bad |= (depth - 1024.0 * np.log(rho) > POLE_TAIL).any(axis=(1, 2))
-        if guarded:
-            h = JOINT_WIDTH / np.sqrt(X * np.abs(polyval(polyder(W, 2), P)))
-            zeta = X * np.abs(polyval(polyder(W, 3), P)) * h ** 3 / 6.0
-            bad |= (zeta > ZETA_MAX).any(axis=1)
-        return bad
-
-    live = np.flatnonzero(s != 0)
-    return [(live[rows], system)
-            for rows, system in descent_batches(scaled_phase_rows(can, s[live]), reject)]
-
-
 def _descent_core(can, m, s, system):
     """Descent-route values at the shapes s: one shape with its own
     DescentSystem, or several with one system of descent_batches.
@@ -274,16 +190,17 @@ def _evaluate(omega, m, ys, t, method):
     The direct points share one direct contour, built for the range of
     their shapes; a lone direct point keeps the scalar quadrature path.
     The geometry of two or more descent points is built in one batch
-    (_descent_batches), with every guard of the lone build applied row by
-    row, and a lone descent point keeps the scalar builder
-    (_descent_system); the points with the same number of saddles share
-    every quadrature rule (see _descent_core).  Under auto a point whose
-    descent geometry fails its guards joins the direct batch, and so does
-    a lone descent point whose quadrature does not converge.  A batch of
-    several points that raises NoConvergence or NonFinite is evaluated
-    again point by point, and so is the whole grid, in grid order, when
-    any point fails under descent (which has no fallback), so a grid
-    answers or raises as its points would alone.
+    (descent_batches, s = 0 left out), and a lone descent point keeps the
+    scalar builder descent_system; both pass contour's one set of descent
+    guards (guard_descent for the lone point), and the points with the
+    same number of saddles share every quadrature rule (see
+    _descent_core).  Under auto a point whose descent geometry fails its
+    guards joins the direct batch, and so does a lone descent point whose
+    quadrature does not converge.  A batch of several points that raises
+    NoConvergence or NonFinite is evaluated again point by point, and so
+    is the whole grid, in grid order, when any point fails under descent
+    (which has no fallback), so a grid answers or raises as its points
+    would alone.
 
     Returns (values, contours integrated); the closed form integrates none.
     """
@@ -292,8 +209,7 @@ def _evaluate(omega, m, ys, t, method):
     if ys.ndim != 1 or ys.size == 0:
         raise ValueError("ys must be a non-empty 1-D grid")
     t = float(t)
-    for y in ys.tolist():
-        _validate(m, y, t, method)
+    m = _validate(m, ys, t, method)
     if t == 0.0:  # no drift, and exp(-i omega_0 t) = 1
         return np.array([0.0 if y > 0 else -((y ** m) / math.factorial(m))
                          for y in ys.tolist()], dtype=complex), []
@@ -320,13 +236,17 @@ def _evaluate(omega, m, ys, t, method):
     batches = []   # (indices, the system of their descent contours)
     if len(descent) == 1:   # a lone descent point builds its own contours
         try:
-            batches.append((descent, _descent_system(can, m, s[descent[0]], guarded)))
+            if s[descent[0]] == 0:
+                raise DegeneratePhase("descent evaluation needs y != 0")
+            system = descent_system(scaled_phase(can, s[descent[0]], 1.0))
+            batches.append((descent, guard_descent(system, m, guarded)))
         except DegeneratePhase:
             if method == "descent":
                 raise
     elif descent:
-        batches = [([descent[r] for r in rows.tolist()], system)
-                   for rows, system in _descent_batches(can, m, s[descent], guarded)]
+        live = [i for i in descent if s[i] != 0]
+        batches = [([live[r] for r in rows.tolist()], system)
+                   for rows, system in descent_batches(scaled_phase_rows(can, s[live]), m, guarded)]
     passed = {i for idx, _ in batches for i in idx}
     failed = [i for i in descent if i not in passed]
     if failed and method == "descent":
@@ -377,8 +297,12 @@ def eval_I(omega, m, y, t, method="auto"):
                  configurations and descent quadrature that does not
                  converge fall back to direct automatically.
       direct  -- bent defining contour only.
-      descent -- saddle-point system only (raises DegeneratePhase when the
-                 stationary points are unusable).
+      descent -- saddle-point system only: raises DegeneratePhase when the
+                 stationary points are unusable, and, for m >= 0, when a
+                 contour passes within 1e-3 of the pole or a segment is too
+                 long for its distance to the pole to converge by the order
+                 cap (under auto these and two more guards of
+                 contour.guard_descent send the point to direct).
 
     This is the one-point case of eval_I_grid.
     """

@@ -8,6 +8,8 @@ from scipy.special import airy, erf
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
                        ode_residual, residue_part, special)
+from dispgibbs.contour import descent_batches, descent_system, guard_descent
+from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL, FROZEN_MIXED
 
@@ -352,6 +354,21 @@ def test_eval_I_grid_validation():
     assert list(eval_I_grid(HEAT, 0, [-1.0, 1.0], 0.0)) == want
 
 
+def test_m_takes_any_integer_type_but_bool():
+    om = normalize({3: 1, 2: -0.5j})
+    for y in (0.5, 9.0):                       # the direct and the descent route
+        for m in (0, 1):
+            assert eval_I(om, np.int64(m), y, 1.0) == eval_I(om, m, y, 1.0)
+    ys = np.linspace(-9.0, 9.0, 7)
+    assert list(eval_I_grid(om, np.int64(1), ys, 1.0, method="auto")) == \
+        list(eval_I_grid(om, 1, ys, 1.0, method="auto"))
+    for bad in (True, False, np.True_, 1.0, -2):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eval_I(om, bad, 0.5, 1.0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eval_I_grid(om, bad, ys, 1.0)
+
+
 ROUTE_SYMBOLS = dict(GRID_SYMBOLS, quartic={4: -1j, 2: 0.3})
 
 
@@ -408,9 +425,10 @@ def _batched_matches_lone(om, m, ys, t, guarded):
     same shape: the same pass or fail, the same stationary points and
     segment ends within 1e-12 (1 + |z|); returns (passed, failed)."""
     can, s, _, _ = special._canonical(om, np.asarray(ys, dtype=float), t)
+    live = np.flatnonzero(s != 0)       # descent refuses s = 0
     built = {}
-    for rows, system in special._descent_batches(can, m, s, guarded):
-        for r, i in enumerate(rows.tolist()):
+    for rows, system in descent_batches(scaled_phase_rows(can, s[live]), m, guarded):
+        for r, i in enumerate(live[rows].tolist()):
             built[i] = (r, system)
 
     def close(a, b):
@@ -419,7 +437,7 @@ def _batched_matches_lone(om, m, ys, t, guarded):
     outcome = [0, 0]
     for i, si in enumerate(s.tolist()):
         try:
-            lone = special._descent_system(can, m, si, guarded)
+            lone = guard_descent(descent_system(scaled_phase(can, si, 1.0)), m, guarded) if si else None
         except DegeneratePhase:
             lone = None
         assert (lone is None) == (i not in built), (si, m, guarded)
@@ -530,3 +548,17 @@ def test_unguarded_descent_fails_fast_by_the_pole():
         spent.append(time.perf_counter() - start)
     assert min(spent) < 5e-3
     eval_I(SCHRO, 0, 1.0, 1.0, method="descent")      # converges, so no guard
+
+
+def test_descent_through_the_pole_is_refused_on_both_paths():
+    # the lone and the grid build share the first guard and its message;
+    # auto falls back to the direct route
+    om = {3: -0.5423708680558151, 2: -38.702524019148846 - 90.18438959808397j}
+    m, y, t = 2, 0.03436241182108733, 2.0085105193338184
+    with pytest.raises(DegeneratePhase, match="^descent contour passes through the pole$"):
+        eval_I(om, m, y, t, method="descent")
+    with pytest.raises(DegeneratePhase, match="^descent contour passes through the pole$"):
+        eval_I_grid(om, m, [y, 0.5, 1.0], t, method="descent")
+    want = -90.3232693019899 + 38.808014960421694j
+    assert eval_I(om, m, y, t) == want
+    assert eval_I(om, m, y, t, method="direct") == want
