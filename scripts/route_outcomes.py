@@ -1,6 +1,7 @@
 """Print what eval_I answers on the benchmark's seeded queries, one JSON line each.
 
     python3 scripts/route_outcomes.py SEED...
+    python3 scripts/route_outcomes.py --against FILE SEED...
 
 For every draw of perfbench.workloads.draw_queries(SEED) with t > 0 the
 script prints the outcome of method="descent", and also of method="auto"
@@ -10,9 +11,18 @@ method and either the exact repr of the value or the exception's type and
 message, so the outputs of two checkouts can be compared with cmp.  There
 is no work budget: every query runs to its end.  The package is imported
 from this checkout's src; perfbench is only read.
+
+With --against FILE the lines are not printed but compared with FILE, the
+output of an earlier run on the same seeds (say, of another checkout), for
+changes that move values only in their last bits.  Every line that differs
+in its outcome kind (value or exception type) or exception message, or has
+no counterpart, is printed, and so is the largest |v - v0| / (1 + |v0|)
+over the values, v0 from FILE; the exit code is 1 when any line differs.
 """
 
+import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -40,12 +50,47 @@ def outcomes(seed):
             yield line
 
 
+def _number(text):
+    """The complex number a value's repr shows, bare or numpy's
+    "np.complex128(...)"."""
+    return complex(re.sub(r"^[\w.]+\((.*)\)$", r"\1", text))
+
+
+def compare(lines, against):
+    """Print how `lines` differ from the saved outcomes `against`; returns
+    the number of lines that differ in kind or message."""
+    saved = {}
+    for text in against:
+        line = json.loads(text)
+        saved[line["seed"], line["index"], line["method"]] = line
+    differ, drift = 0, 0.0
+    for line in lines:
+        old = saved.pop((line["seed"], line["index"], line["method"]), None)
+        if old is None or any(old.get(k, "") != line.get(k, "") for k in ("error", "message")):
+            differ += 1
+            print(json.dumps({"now": line, "saved": old}))
+        elif "value" in line:
+            v0, v = _number(old["value"]), _number(line["value"])
+            drift = max(drift, abs(v - v0) / (1.0 + abs(v0)))
+    for old in saved.values():
+        differ += 1
+        print(json.dumps({"now": None, "saved": old}))
+    print(f"{differ} lines differ in outcome or message; "
+          f"largest |v - v0| / (1 + |v0|) = {drift:.3g}")
+    return differ
+
+
 def main(argv):
-    if not argv:
-        sys.exit("usage: route_outcomes.py SEED...")
-    for seed in argv:
-        for line in outcomes(int(seed)):
-            print(json.dumps(line), flush=True)
+    parser = argparse.ArgumentParser(description="eval_I outcomes on the queries draws")
+    parser.add_argument("--against", type=argparse.FileType(),
+                        help="compare with this earlier output instead of printing")
+    parser.add_argument("seeds", nargs="+", type=int)
+    args = parser.parse_args(argv)
+    lines = (line for seed in args.seeds for line in outcomes(seed))
+    if args.against:
+        sys.exit(1 if compare(lines, args.against) else 0)
+    for line in lines:
+        print(json.dumps(line), flush=True)
 
 
 if __name__ == "__main__":

@@ -146,17 +146,6 @@ def _ray_for_end(omega, exponent, anchor, want_right):
     return best[0]
 
 
-def _bisect(pred, lo, hi):
-    """The bracket (lo, hi) after 60 halvings, pred false at lo, true at hi."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def _march_out(logmag, anchor, theta, step0):
     """Distance L to the logmag = -TAIL_DROP crossing along anchor + L e^i theta.
 
@@ -173,42 +162,64 @@ def _march_out(logmag, anchor, theta, step0):
         L *= 2.0
     else:
         raise DegeneratePhase("integrand refuses to decay along chosen ray")
-    lo = 0.0 if L <= step0 else L / 2.0
-    return _bisect(lambda r: logmag(anchor + r * e) <= -TAIL_DROP, lo, L)[1]
+    lo, hi = (0.0 if L <= step0 else L / 2.0), L
+    for _ in range(60):          # the halvings of _march_rows, one by one
+        mid = 0.5 * (lo + hi)
+        if logmag(anchor + mid * e) <= -TAIL_DROP:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bound(omega, lin, rho=0.0):
+    """Ascending coefficients of lin r + sum_j |omega_j| ((rho + r)^j - rho^j)
+    in r: none is negative, so for r >= 0 the bound rises and is convex."""
+    b = [0.0, lin + abs(omega.coeffs[1])] + [abs(c) for c in omega.coeffs[2:]]
+    for i in range(len(b) - 1 if rho else 0):   # Taylor shift by rho
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += rho * b[j + 1]
+    b[0] = 0.0
+    return b
+
+
+def _horner(b, r):
+    """The value and the derivative at r of sum_j b_j r^j, in one pass."""
+    v = d = 0.0
+    for c in reversed(b):
+        v, d = v * r + c, d * r + v
+    return v, d
+
+
+def _convex_root(b, target, r, top):
+    """Where the convex bound b reaches target (or top), by Newton's method
+    from r at or left of it: one step past the root, then down until it stops."""
+    v, d = _horner(b, r)
+    nxt, r = min(top, r - (v - target) / d) if d > 0 else top, math.inf
+    while nxt < r:
+        v, d = _horner(b, nxt)
+        r, nxt = nxt, nxt - (v - target) / d
+    return r
 
 
 def _phase_knots(omega, s, rho, lo, hi, pieces):
-    """Split [lo, hi] into at least `pieces` pieces of equal phase, each
-    within PHASE_BUDGET, on a straight path starting rho from the origin;
-    raises NoConvergence, before any bisection, when that takes more than
-    MAX_SEGMENTS pieces.
-
-    The phase density (s - omega'(z)) is wildly nonuniform for steep
-    symbols -- near the bend an equal-width piece can hold thousands of
-    radians while the piece by the pole holds a handful -- so the knots
-    equalise the monotone accumulated-phase bound
-    |s| r + sum_j |omega_j| ((rho + r)^j - rho^j), one bisection each.
-    """
-
-    def phi(r):
-        tot = abs(s) * r
-        for j, c in enumerate(omega.coeffs):
-            if j and c:
-                tot += abs(c) * ((rho + r) ** j - rho ** j)
-        return tot
-
-    total = phi(hi) - phi(lo)
+    """Split [lo, hi], on a straight path starting rho from the origin, into
+    at least `pieces` pieces of equal phase bound (_bound, lin = |s|), each
+    within PHASE_BUDGET; raises NoConvergence, before any knot is placed,
+    when that takes more than MAX_SEGMENTS pieces."""
+    b = _bound(omega, abs(s), rho + lo)    # the bound from lo on
+    width = hi - lo
+    total = _horner(b, width)[0]
     need = total / PHASE_BUDGET
     if not need <= MAX_SEGMENTS:   # nan and inf included
         raise NoConvergence(f"direct contour needs {need:.3g} segments")
     k = max(pieces, int(math.ceil(need)))
-    knots = [lo]
+    if not total > b[1] * width:   # linear in floating point: equal width
+        return [lo + width * i / k for i in range(k)] + [hi]
+    knots = [0.0]
     for i in range(1, k):
-        target = phi(lo) + total * i / k
-        a_, b_ = _bisect(lambda r: phi(r) >= target, knots[-1], hi)
-        knots.append(0.5 * (a_ + b_))
-    knots.append(hi)
-    return knots
+        knots.append(_convex_root(b, total * i / k, knots[-1], width))
+    return [lo + r for r in knots] + [hi]
 
 
 def _ray_breaks(omega, s, logmag, anchor, theta):
@@ -270,12 +281,11 @@ def _arc_radius(omega, s_lo, a):
     """The largest r up to min(0.5, a/4) with
     max(0, -s_lo) r + sum_j |omega_j| r^j <= 1: along a detour of radius r
     the integrand stays within a factor e of its value by the pole."""
-
-    def rise(r):
-        return max(0.0, -s_lo) * r + sum(abs(c) * r ** j for j, c in enumerate(omega.coeffs) if c)
-
-    r0 = min(0.5, a / 4.0)
-    return r0 if rise(r0) <= 1.0 else _bisect(lambda r: rise(r) > 1.0, 0.0, r0)[0]
+    b = _bound(omega, max(0.0, -s_lo))
+    r = _convex_root(b, 1.0, 0.0, min(0.5, a / 4.0))
+    while _horner(b, r)[0] > 1.0:   # a root rounded up
+        r = math.nextafter(r, 0.0)
+    return r
 
 
 def direct_contour(omega, m, s_lo, s_hi=None, order=64):

@@ -1,15 +1,18 @@
 import cmath
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispgibbs import (DegeneratePhase, NoConvergence, decay_directions, descent_system,
-                       direct_contour, integrate_contour, normalize,
+from dispgibbs import (DegeneratePhase, DispersionRelation, NoConvergence, decay_directions,
+                       descent_system, direct_contour, integrate_contour, normalize,
                        pole_avoiding_contour, scaled_phase, validate_descent)
-from dispgibbs.contour import PHASE_BUDGET, TAIL_DROP, _phase_exponent
+from dispgibbs.contour import (MAX_SEGMENTS, PHASE_BUDGET, TAIL_DROP, _phase_exponent,
+                               _phase_knots)
 from dispgibbs.special import _canonical
 
 
@@ -162,6 +165,73 @@ def test_direct_contour_never_rises_above_the_pole(n, lead, lower, m, s):
     for sg in segs:
         z = sg.start + (sg.end - sg.start) * u
         assert np.max(_phase_exponent(om, s, z)) - ref <= 1.0 + 1e-9
+
+
+def _exact_bound(om, s, rho, r):
+    # _phase_bound in 60 digits: (rho + r)^j - rho^j cancels for short r
+    with mpmath.workdps(60):
+        r, rho = mpmath.mpf(r), mpmath.mpf(rho)
+        return abs(s) * r + sum(abs(c) * ((rho + r) ** j - rho ** j)
+                                for j, c in enumerate(om.coeffs) if j)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 9),
+       lower=st.lists(st.tuples(st.integers(2, 8), st.floats(-2.0, math.log10(300.0)),
+                                st.floats(-math.pi, math.pi)), max_size=3),
+       rho=st.floats(0.0, 5.0), s=st.floats(-66.0, 66.0),
+       length=st.floats(-20.0, math.log10(50.0)), pieces=st.sampled_from([1, 2]))
+def test_phase_knots_equalise_the_phase_bound(n, lower, rho, s, length, pieces):
+    # on mixed symbols whose lower-order terms may dominate, the knots of a
+    # stretch [0, 10^length] follow today's count, keep both ends exact,
+    # increase strictly, and sit where the bound reaches its equal-phase
+    # targets, to 1e-12 of the stretch's phase
+    coeffs = {n: 1.0}
+    for j, size, arg in lower:
+        if j < n:
+            coeffs[j] = 10.0 ** size * cmath.exp(1j * arg)
+    om = normalize(coeffs)
+    hi = 10.0 ** length
+    total = _exact_bound(om, s, rho, hi)
+    need = total / PHASE_BUDGET
+    if abs(need - mpmath.nint(need)) <= 1e-9 * need:
+        return   # the count rounds either way at a whole number of budgets
+    if need > MAX_SEGMENTS:
+        with pytest.raises(NoConvergence, match="direct contour needs"):
+            _phase_knots(om, s, rho, 0.0, hi, pieces)
+        return
+    knots = _phase_knots(om, s, rho, 0.0, hi, pieces)
+    k = max(pieces, int(mpmath.ceil(need)))
+    assert len(knots) == k + 1
+    assert knots[0] == 0.0 and knots[-1] == hi
+    assert all(a < b for a, b in zip(knots, knots[1:]))
+    # every piece when there are few, a spread of them otherwise
+    idx = sorted(set(np.linspace(0, k, min(k, 64) + 1).astype(int).tolist()))
+    phase = {i: _exact_bound(om, s, rho, knots[i]) for i in idx}
+    for i in idx:
+        assert abs(phase[i] - total * i / k) <= 1e-12 * total, (i, k)
+        if i + 1 in phase:
+            assert phase[i + 1] - phase[i] <= PHASE_BUDGET * (1 + 1e-9)
+
+
+def test_phase_knots_split_a_linear_stretch_by_width():
+    # a 2e-20 ray bent at 2.40 (a queries draw): the bound is linear there in
+    # floating point, so its one knot is the midpoint
+    om = DispersionRelation((0j, 0j, 9.50050097801126 - 53.90093052270316j, 0j, 0j, 0j,
+                             0.02201862743557172 - 0.0056452332578907135j, 0j, 0j,
+                             -0.9999999999999998 + 0j))
+    knots = _phase_knots(om, 2.005664839510857, 2.3993081062770045, 0.0,
+                         1.9618675665407894e-20, 2)
+    assert knots == [0.0, 9.809337832703947e-21, 1.9618675665407894e-20]
+
+
+def test_large_direct_contour_builds_fast():
+    # a dominant real k^3 term: 6,542 equal-phase pieces on the rays
+    om = normalize({5: 1, 3: -28.118})
+    cpu = time.process_time()
+    cont = direct_contour(om, 2, -0.2278)
+    assert time.process_time() - cpu < 0.15
+    assert len(cont.segments) == 6542
 
 
 def test_descent_heat_single_contour_at_quarter_angle():
