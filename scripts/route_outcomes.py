@@ -4,13 +4,15 @@
     python3 scripts/route_outcomes.py --against FILE SEED...
 
 For every draw of perfbench.workloads.draw_queries(SEED) with t > 0 the
-script prints the outcome of method="descent", and also of method="auto"
-where the canonical shape |s| = |y - omega_1 t| / (|omega_n| t)^(1/n) is at
-least 4 (where auto tries descent first).  A line holds the query, the
-method and either the exact repr of the value or the exception's type and
-message, so the outputs of two checkouts can be compared with cmp.  There
-is no work budget: every query runs to its end.  The package is imported
-from this checkout's src; perfbench is only read.
+script prints the outcome of method="descent" and of method="auto", so the
+direct route (auto at a canonical shape |s| < 4, and auto's fallbacks) is
+pinned as well as descent.  A line holds the query, the method and either
+the exact repr of the value or the exception's type and message, so the
+outputs of two checkouts can be compared with cmp.  There is no work
+budget, unlike in the benchmark: every query runs to its end, the direct
+contours of thousands of segments included (up to about 2 s of CPU for some
+draws).  The package is imported from this checkout's src; perfbench is
+only read.
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds (say, of another checkout), for
@@ -29,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from dispgibbs import eval_I, normalize  # noqa: E402
+from dispgibbs import eval_I  # noqa: E402
 from workloads import draw_queries  # noqa: E402
 
 
@@ -37,9 +39,7 @@ def outcomes(seed):
     for index, (_, coeffs, m, y, t) in enumerate(draw_queries(seed)):
         if t <= 0:
             continue
-        om = normalize(coeffs)
-        s = (y - om.drift * t) / (abs(om.leading) * t) ** (1.0 / om.degree)
-        for method in ("descent", "auto") if abs(s) >= 4.0 else ("descent",):
+        for method in ("descent", "auto"):
             line = {"seed": seed, "index": index, "method": method,
                     "query": repr((coeffs, m, y, t))}
             try:

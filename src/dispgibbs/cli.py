@@ -6,20 +6,22 @@ kernel (fundamental solution), contour-dump (integration paths as JSON),
 and verify (self-check suites).  Output is CSV/JSON/markdown written to
 stdout or a file; identical invocations produce byte-identical bytes.
 
-Exit codes: 0 success, 2 argument/validation problems, 3 numerical
-failures (non-convergent quadrature, degenerate saddle geometry), with the
-failing query echoed on stderr.
+Exit codes: 0 success, 1 a verify check failed, 2 argument/validation
+problems (every ValueError), 3 numerical failures (non-convergent
+quadrature, a non-finite integrand, degenerate saddle geometry), with the
+failing query echoed on stderr; _failures maps them in one place.
 """
 
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
 
-from .dispersion import DegeneratePhase, InvalidDispersion, parse_omega
+from .dispersion import DegeneratePhase, parse_omega
 from .quadrature import NoConvergence, NonFinite
 from .special import _evaluate, eval_I, eval_I_grid, ode_residual
 from .contour import pole_avoiding_contour
@@ -51,7 +53,7 @@ def _parse_grid(text):
 def _parse_omega_opt(text):
     try:
         return parse_omega(text)
-    except (InvalidDispersion, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad --omega {text!r}: {exc}")
 
 
@@ -66,9 +68,9 @@ def _parse_ic(text):
         except ValueError as exc:
             raise click.UsageError(f"bad smoothed-box width: {exc}")
     if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
-        try:
+        try:   # malformed JSON is a ValueError too
+            with open(text) as fh:
+                data = json.load(fh)
             return PiecewisePolynomialIC(data["breakpoints"], data["pieces"])
         except (KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"bad IC file {text!r}: {exc}")
@@ -84,21 +86,29 @@ def _emit(text, output):
         click.echo(text, nl=False)
 
 
-def _rows_csv(header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _rows_json(header, rows):
+def _table(header, rows, fmt):
+    """rows as CSV (fmt "csv") or as a JSON list of {column: value}."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
     payload = [dict(zip(header, (float(v) for v in row))) for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _fail_numerical(exc, query):
-    click.echo(f"numerical failure: {exc}", err=True)
-    click.echo(f"failing query: {query}", err=True)
-    sys.exit(3)
+@contextmanager
+def _failures(query):
+    """The one map from failure to exit code: a numerical failure exits 3
+    with the failing query on stderr; an invalid input (a ValueError) is a
+    usage error, exit 2."""
+    try:
+        yield
+    except NUMERICAL_ERRORS as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        click.echo(f"failing query: {query}", err=True)
+        sys.exit(3)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -120,16 +130,10 @@ def eval_cmd(omega, m, t, ygrid, method, fmt, output):
     """Evaluate I_{omega,m}(y, t) over a y grid."""
     om = _parse_omega_opt(omega)
     ys = _parse_grid(ygrid)
-    try:
+    with _failures(f"eval --omega {omega} --m {m} --t {t} --y-grid {ygrid}"):
         vals = [eval_I(om, m, float(y), t, method=method) for y in ys]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc, f"eval --omega {omega} --m {m} --t {t} --y-grid {ygrid}")
     rows = [(y, v.real, v.imag) for y, v in zip(ys, vals)]
-    text = (_rows_csv(("y", "re", "im"), rows) if fmt == "csv"
-            else _rows_json(("y", "re", "im"), rows))
-    _emit(text, output)
+    _emit(_table(("y", "re", "im"), rows, fmt), output)
 
 
 @main.command("solve")
@@ -156,16 +160,10 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
 
     rows = []
     for t in ts:
-        try:
+        with _failures(f"solve --omega {omega} --ic {ic} --t {t} --x-grid {xgrid}"):
             vals = solve(data, om, xs, t)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        except NUMERICAL_ERRORS as exc:
-            _fail_numerical(exc, f"solve --omega {omega} --ic {ic} --t {t} --x-grid {xgrid}")
         rows += [(t, x, v.real, v.imag) for x, v in zip(xs, vals)]
-    text = (_rows_csv(("t", "x", "re", "im"), rows) if fmt == "csv"
-            else _rows_json(("t", "x", "re", "im"), rows))
-    _emit(text, output)
+    _emit(_table(("t", "x", "re", "im"), rows, fmt), output)
 
 
 @main.command("kernel")
@@ -179,16 +177,10 @@ def kernel_cmd(omega, t, xgrid, fmt, output):
     """Fundamental solution K_t(x) = I_{omega,-1}(x, t)."""
     om = _parse_omega_opt(omega)
     xs = _parse_grid(xgrid)
-    try:
+    with _failures(f"kernel --omega {omega} --t {t} --x-grid {xgrid}"):
         vals = eval_I_grid(om, -1, xs, t, method="auto")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc, f"kernel --omega {omega} --t {t} --x-grid {xgrid}")
     rows = [(x, v.real, v.imag) for x, v in zip(xs, vals)]
-    text = (_rows_csv(("x", "re", "im"), rows) if fmt == "csv"
-            else _rows_json(("x", "re", "im"), rows))
-    _emit(text, output)
+    _emit(_table(("x", "re", "im"), rows, fmt), output)
 
 
 GIBBS_COLUMNS = ("n", "sigma", "sup_re", "inf_re", "sup_im", "inf_im",
@@ -209,23 +201,17 @@ def gibbs_cmd(nlist, sigma, fmt, output):
         raise click.UsageError(f"bad --n list {nlist!r}")
     if not ns or any(n < 2 for n in ns):
         raise click.UsageError("--n needs integers >= 2")
-    try:
+    with _failures(f"gibbs-table --n {nlist} --sigma {sigma}"):
         reports = overshoot_table(ns, sigma=sigma)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc, f"gibbs-table --n {nlist} --sigma {sigma}")
     rows = [(r.n, complex(r.sigma).real, r.sup_re, r.inf_re, r.sup_im,
              r.inf_im, r.sup_abs, r.inf_abs, r.arg_sup_re) for r in reports]
-    if fmt == "csv":
-        text = _rows_csv(GIBBS_COLUMNS, rows)
-    elif fmt == "json":
-        text = _rows_json(GIBBS_COLUMNS, rows)
-    else:
+    if fmt == "markdown":
         head = "| " + " | ".join(GIBBS_COLUMNS) + " |"
         rule = "|" + "|".join("---" for _ in GIBBS_COLUMNS) + "|"
         body = ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in rows]
         text = "\n".join([head, rule] + body) + "\n"
+    else:
+        text = _table(GIBBS_COLUMNS, rows, fmt)
     _emit(text, output)
 
 
@@ -244,17 +230,13 @@ def contour_cmd(omega, m, y, t, kind, output):
     query with that method; detour prints the undeformed defining path.
     """
     om = _parse_omega_opt(omega)
-    try:
-        if kind == "detour":
-            contours = [pole_avoiding_contour()]
-        else:
-            if t <= 0:
-                raise click.UsageError("contour construction needs t > 0")
+    if kind == "detour":
+        contours = [pole_avoiding_contour()]
+    else:
+        if t <= 0:
+            raise click.UsageError("contour construction needs t > 0")
+        with _failures(f"contour-dump --omega {omega} --m {m} --y {y} --t {t}"):
             _, contours = _evaluate(om, m, [y], t, method=kind)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except NUMERICAL_ERRORS as exc:
-        _fail_numerical(exc, f"contour-dump --omega {omega} --m {m} --y {y} --t {t}")
     segs = [
         {"re0": complex(sg.start).real, "im0": complex(sg.start).imag,
          "re1": complex(sg.end).real, "im1": complex(sg.end).imag,
@@ -390,10 +372,8 @@ def verify_cmd(suite):
     names = sorted(SUITES) if suite in (None, "all") else [suite]
     all_ok = True
     for name in names:
-        try:
+        with _failures(f"verify {name}"):
             ok, lines = SUITES[name]()
-        except NUMERICAL_ERRORS as exc:
-            _fail_numerical(exc, f"verify {name}")
         for label, err, tol in lines:
             status = "ok  " if err < tol else "FAIL"
             click.echo(f"{status} [{name}] {label}: err {err:.3e} (tol {tol:g})")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dispersion import (DegeneratePhase, polyder, polyval, stationary_point_rows,
                          stationary_points, take_rows)
-from .quadrature import NoConvergence
+from .quadrature import MAX_ORDER, NoConvergence
 
 __all__ = [
     "Segment",
@@ -65,7 +65,7 @@ CENTRAL_ORDER = 96      # initial Clenshaw-Curtis orders of the descent segments
 TAIL_ORDER = 64
 _CREST_PROBES = np.linspace(0.0, 1.0, 33)   # where descent tails are probed for ridges
 ZETA_MAX = 40.0         # max tolerated cubic phase (radians) on a central segment
-POLE_TAIL = math.log(1e-4)  # log of the pole tail at order 1024 past which descent gives up
+POLE_TAIL = math.log(1e-4)  # log of the pole tail at order MAX_ORDER // 2 where descent gives up
 GUARDS = (              # _guards' messages, in the order they are checked
     "descent contour passes through the pole",
     "descent contour crowds the pole",
@@ -374,6 +374,15 @@ def _central_angle(phi2):
     return th
 
 
+def _saddle_angle(phase, zj):
+    """Phi''(zj) and the central angle at the stationary point zj; raises
+    DegeneratePhase where Phi'' vanishes."""
+    phi2 = complex(phase.d2phi(zj))
+    if abs(phi2) < 1e-12:
+        raise DegeneratePhase(f"vanishing Phi'' at stationary point {zj}")
+    return phi2, _central_angle(phi2)
+
+
 def descent_system(phase):
     """One contour per stationary point, central segment + two decay rays.
 
@@ -392,10 +401,7 @@ def descent_system(phase):
     contours = []
     angles = []
     for j, zj in enumerate(pts):
-        phi2 = complex(phase.d2phi(zj))
-        if abs(phi2) < 1e-12:
-            raise DegeneratePhase(f"vanishing Phi'' at stationary point {zj}")
-        th = _central_angle(phi2)
+        phi2, th = _saddle_angle(phase, zj)
         angles.append(th)
         h = JOINT_WIDTH / math.sqrt(X * abs(phi2))
         # keep the joints inside this saddle's own basin: past ~a third of
@@ -481,15 +487,15 @@ def _guards(phi, X, W, P, a, b, m, guarded):
         if guarded:
             failed[1] = dmin < 0.05 * np.maximum(np.abs(P).min(axis=1), 1e-6)
         # a segment long against its distance to the pole cannot converge
-        # by the order cap: the rules of order 1024 and 2048 still differ
-        # by about rho^-1024 times the integrand next to the pole (here
-        # relative to its saddle value), rho the Bernstein-ellipse
-        # parameter of the pole for the segment
+        # by the order cap: the rules of order MAX_ORDER // 2 and MAX_ORDER
+        # still differ by about rho^-(MAX_ORDER // 2) times the integrand
+        # next to the pole (here relative to its saddle value), rho the
+        # Bernstein-ellipse parameter of the pole for the segment
         w = -(a + b) / d
         r = np.sqrt(w * w - 1.0)
         rho = np.maximum(np.abs(w + r), np.abs(w - r))
         depth = X[..., None] * (phi(near).real - phi(P).real[:, :, None])
-        failed[2] = (depth - 1024.0 * np.log(rho) > POLE_TAIL).any(axis=(1, 2))
+        failed[2] = (depth - (MAX_ORDER // 2) * np.log(rho) > POLE_TAIL).any(axis=(1, 2))
     if guarded:
         h = JOINT_WIDTH / np.sqrt(X * np.abs(polyval(polyder(W, 2), P)))
         zeta = X * np.abs(polyval(polyder(W, 3), P)) * h ** 3 / 6.0

@@ -255,9 +255,6 @@ class ScaledPhase:
     def d2phi(self, z):
         return -1j * polyval(polyder(self.wcoeffs, 2), z)
 
-    def d3phi(self, z):
-        return -1j * polyval(polyder(self.wcoeffs, 3), z)
-
 
 def scaled_phase(omega, y, t):
     """ScaledPhase for the query (y, t); requires y != 0, t > 0."""

@@ -184,22 +184,19 @@ def solve(ic, omega, x, t, method="auto"):
     At t = 0 the sum telescopes back to the piece value, so x must then
     stay off the breakpoints (no canonical value exists there).
 
-    x may be a scalar or a 1-D array; for an array each jump's shifted
-    copies x - c are one eval_I_grid call, and the result is one value per x.
+    x may be a scalar or a 1-D array; each jump's shifted copies x - c are
+    one eval_I_grid call, and the result is one value per x (a scalar x is
+    a one-point grid, and gives one value).
     """
     om = normalize(omega)
-    if np.ndim(x) == 0:
-        total = 0j
-        for c, m, jump in jump_decomposition(ic):
-            total += jump * eval_I(om, m, x - c, t, method=method)
-        return total
     xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
+    if xs.ndim > 1:
         raise ValueError("x must be a scalar or a 1-D grid")
-    total = np.zeros(xs.shape, dtype=complex)
+    grid = xs.reshape(-1)
+    total = np.zeros(grid.shape, dtype=complex)
     for c, m, jump in jump_decomposition(ic):
-        total += jump * eval_I_grid(om, m, xs - c, t, method=method)
-    return total
+        total += jump * eval_I_grid(om, m, grid - c, t, method=method)
+    return total if xs.ndim else total[0]
 
 
 def taylor_away(ic, omega, x, t, order):

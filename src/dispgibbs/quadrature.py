@@ -20,6 +20,9 @@ __all__ = [
     "integrate_contour",
 ]
 
+TOL = 1e-10         # integrate_contour's relative tolerance per segment
+MAX_ORDER = 2048    # the Clenshaw-Curtis order past which a segment raises NoConvergence
+
 
 class NoConvergence(RuntimeError):
     """Adaptive refinement hit the order cap without the estimates settling.
@@ -33,8 +36,9 @@ class NoConvergence(RuntimeError):
         self.previous = previous
 
 
-class NonFinite(ValueError):
-    """Integrand returned nan/inf on a quadrature node."""
+class NonFinite(RuntimeError):
+    """Integrand returned nan/inf on a quadrature node: a numerical failure
+    (like NoConvergence), not an invalid input."""
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +131,7 @@ def _integrate_segment_adaptive(f, seg, tol, max_order):
     )
 
 
-def integrate_contour(f, contour, tol=1e-10, max_order=2048):
+def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     """Adaptively integrate f along every segment of a contour and sum.
 
     f must accept a complex ndarray of nodes and return complex values

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from dispgibbs import eval_I, eval_I_grid, normalize, overshoot, solve, tent
@@ -87,6 +88,15 @@ def test_solve_ic_file_matches_builtin(tmp_path):
     assert a.exit_code == 0 and a.output == b.output
 
 
+def test_solve_malformed_ic_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"breakpoints": [0, 1], ')
+    r = run("solve", "--omega", "2:1", "--ic", str(path), "--t", "0.1",
+            "--x-grid", "0:1:3")
+    assert r.exit_code == 2
+    assert "bad IC file" in r.stderr
+
+
 def test_solve_ic_validation():
     args = ("solve", "--omega", "2:1", "--t", "0.1", "--x-grid", "0:1:3")
     assert run(*args, "--ic", "pyramid").exit_code == 2
@@ -151,6 +161,21 @@ def test_contour_dump_numerical_exit():
     assert "numerical failure" in r.stderr
     assert "failing query" in r.stderr
     assert "--y 0.1" in r.stderr
+
+
+@pytest.mark.parametrize("command, point", [
+    ("eval", ("--y-grid", "-40:-39:2")),
+    ("kernel", ("--x-grid", "-40:-39:2")),
+    ("solve", ("--ic", "box", "--x-grid", "-40:-39:2")),
+    ("contour-dump", ("--y", "-40")),
+])
+def test_integrand_overflow_exits_3(command, point):
+    # the direct integrand of this symbol overflows far out on the real
+    # axis: a numerical failure (NonFinite), not a usage error
+    r = run(command, "--omega", "4:-1i,2:80i", "--t", "1", *point)
+    assert r.exit_code == 3
+    assert "numerical failure: integrand not finite" in r.stderr
+    assert f"failing query: {command} --omega 4:-1i,2:80i" in r.stderr
 
 
 def test_verify_limits():

@@ -60,6 +60,13 @@ def test_segment_nonfinite():
         integrate_segment(lambda z: 1.0 / (z - 0.5), 0.0, 1.0, 16)
 
 
+def test_nonfinite_is_a_numerical_failure_not_an_invalid_input():
+    # ValueError means "the input is invalid"; NonFinite sits with
+    # NoConvergence among the numerical failures (CLI exit 3)
+    assert issubclass(NonFinite, RuntimeError)
+    assert not issubclass(NonFinite, ValueError)
+
+
 def test_contour_closed_polygon_of_analytic_function_is_zero():
     square = Contour((Segment(0, 1, 32), Segment(1, 1 + 1j, 32),
                       Segment(1 + 1j, 1j, 32), Segment(1j, 0, 32)),

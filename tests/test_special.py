@@ -221,6 +221,19 @@ def test_asymptotic_heat():
     assert rels[1] < 0.6 * rels[0]
 
 
+@pytest.mark.parametrize("n, s", [(9, 40.0), (17, 60.0)])
+def test_asymptotic_needs_only_the_saddles(n, s):
+    # the descent contours cross a growth ridge here, but the
+    # stationary-phase sum reads only the saddles; its error is of the size
+    # of its first neglected term
+    with pytest.raises(DegeneratePhase, match="growth ridge"):
+        descent_system(scaled_phase(normalize({n: 1}), s, 1.0))
+    for m in (-1, 0):
+        av = asymptotic_I({n: 1}, m, s, 1.0)
+        err = abs(av.total - eval_I({n: 1}, m, s, 1.0))
+        assert err < 5.0 * av.order_estimate * abs(av.oscillatory_part)
+
+
 def test_asymptotic_parts_consistent():
     av = asymptotic_I(normalize({3: 1}), 0, -12.0, 1.0)
     assert av.total == av.residue_part + av.oscillatory_part
