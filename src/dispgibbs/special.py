@@ -154,20 +154,27 @@ def _descent_core(can, m, s, system):
     per segment serves all the points' copies of it, with the integrand
     exp(X_p Phi_p(z) - c_p) / (iz)^(m+1) carrying each point's X, reference
     level c and coefficients of W as one row of a (points, nodes) matrix;
-    a segment is accepted when every row passes.  One point is eval_I.
+    a segment is accepted when every row passes.  One point is eval_I:
+    its X, W and c stay scalars, so its integrand gives one value per node
+    and integrate_contour refines its segments in lockstep.
     """
     phase = system.phase
-    X = np.reshape(phase.big_x, (-1, 1))
-    W = tuple(np.reshape(c, (-1, 1)) for c in phase.wcoeffs)
+    lone = np.ndim(phase.big_x) == 0
+
+    def column(a):
+        return a if lone else np.reshape(a, (-1, 1))
+
+    X = column(phase.big_x)
+    W = tuple(column(c) for c in phase.wcoeffs)
     two_pi = 2.0 * math.pi
     total = 0j
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for zj, cont in zip(system.points, system.contours):
-            c_ref = np.reshape(phase.big_x * np.real(phase.phi(zj)), -1)
-            if c_ref.max() > 700.0:
+            c_ref = phase.big_x * np.real(phase.phi(zj))
+            if np.max(c_ref) > 700.0:
                 raise NonFinite("descent saddle magnitude overflows")
 
-            def g(z, _c=c_ref[:, None]):
+            def g(z, _c=column(c_ref)):
                 val = np.exp(X * (1j * (z - polyval(W, z))) - _c)
                 if m >= 0:
                     val = val / (1j * z) ** (m + 1)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dispgibbs import (Contour, NoConvergence, NonFinite, Segment,
-                       clenshaw_curtis_rule, integrate_contour,
-                       integrate_segment)
+                       clenshaw_curtis_rule, eval_I, eval_I_grid,
+                       integrate_contour, integrate_segment, quadrature,
+                       special)
 
 
 def test_rule_order2_is_simpson():
@@ -107,3 +110,116 @@ def test_batched_rows_each_converge():
     assert est.shape == fmax.shape == (2,)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFinite):
         integrate_segment(lambda z: np.stack([z, 1.0 / (z - 0.5)]), 0.0, 1.0, 16)
+
+
+def _reference_orders(rule, f, seg, tol=quadrature.TOL, max_order=quadrature.MAX_ORDER):
+    """The orders a segment-by-segment loop applies to seg: from its own
+    order (at least 8, even), doubling until two estimates agree."""
+    order = max(8, seg.order)
+    order += order % 2
+    seglen = np.abs(np.subtract(seg.end, seg.start))
+    orders, val, dprev = [], None, None
+    while order <= max_order:
+        orders.append(order)
+        new, fmax = rule(f, seg.start, seg.end, order)
+        prev, val = val, new
+        if prev is not None:
+            d = abs(val - prev)
+            scale = tol * fmax * seglen
+            done = d <= tol * abs(val) + 1e-3 * scale
+            if dprev is not None:
+                done |= (d >= 0.25 * dprev) & (d <= 100.0 * scale)
+            if np.all(done):
+                break
+            dprev = d
+        order *= 2
+    return orders
+
+
+def _ladders_seen(monkeypatch, evaluate):
+    """Run evaluate() with the module hooks wrapped; returns the rule calls
+    and, per contour integral, its integrand, its contour and the orders
+    each of its segments received (a call with a row per segment counts
+    for each of them)."""
+    integrals, calls = [], []
+    integrate, rule = special.integrate_contour, quadrature.integrate_segment
+
+    def hooked_integrate(f, contour, **kwargs):
+        integrals.append((f, contour, {}))
+        return integrate(f, contour, **kwargs)
+
+    def hooked_rule(f, start, end, order):
+        calls.append((start, end, order))
+        _, contour, seen = integrals[-1]
+        if (start, end) in {(sg.start, sg.end) for sg in contour.segments}:
+            pairs = [(start, end)]
+        else:
+            pairs = list(zip(start, end))
+        for pair in pairs:
+            seen.setdefault(pair, []).append(order)
+        return rule(f, start, end, order)
+
+    monkeypatch.setattr(special, "integrate_contour", hooked_integrate)
+    monkeypatch.setattr(quadrature, "integrate_segment", hooked_rule)
+    evaluate()
+    monkeypatch.undo()
+    return calls, integrals
+
+
+@pytest.mark.parametrize("evaluate, grouped", [
+    (lambda: eval_I({3: 1}, 0, 0.5, 1.0), True),
+    (lambda: eval_I({4: -1j, 3: 0.5, 2: 0.3}, 1, 0.5, 1.0), True),
+    (lambda: eval_I({3: 1}, 0, 12.0, 1.0), True),
+    (lambda: eval_I_grid({3: 1}, 0, np.linspace(-2.0, 2.0, 9), 1.0), False),
+], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "grid-rows"])
+def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, grouped):
+    # each segment meets exactly the orders a segment-by-segment loop
+    # gives it; only an elementwise integrand shares rules between segments
+    calls, integrals = _ladders_seen(monkeypatch, evaluate)
+    assert integrals
+    for f, contour, seen in integrals:
+        assert len(contour.segments) > 1
+        assert seen == {(sg.start, sg.end): _reference_orders(integrate_segment, f, sg)
+                        for sg in contour.segments}
+    rows = [len(start) for start, _, _ in calls if isinstance(start, tuple)]
+    assert (max(rows, default=1) > 1) == grouped
+
+
+def _three_segments(*order):
+    # smooth on [0, 1]; a kink at 3, inside [2, 4], that Clenshaw-Curtis
+    # cannot resolve to 1e-14 by order 64; nan on [5, 6]
+    segs = {"good": Segment(0j, 1 + 0j, 8), "kink": Segment(2 + 0j, 4 + 0j, 8),
+            "nan": Segment(5 + 0j, 6 + 0j, 8)}
+
+    def f(z):
+        return np.where(z.real < 4.5, np.exp(z) + np.abs(z.real - 3.0), np.nan)
+
+    return f, Contour(tuple(segs[name] for name in order), label="t")
+
+
+def test_lockstep_failure_is_the_first_failing_segment():
+    f, contour = _three_segments("good", "kink", "nan")
+    with pytest.raises(NoConvergence, match=r"segment \(2\+0j\) -> \(4\+0j\)") as info:
+        integrate_contour(f, contour, tol=1e-14, max_order=64)
+    assert info.value.last is not None
+    assert info.value.previous is not None
+    f, contour = _three_segments("good", "nan", "kink")
+    with pytest.raises(NonFinite, match=r"segment \(5\+0j\) -> \(6\+0j\)"):
+        integrate_contour(f, contour, tol=1e-14, max_order=64)
+
+
+def test_lockstep_memory_is_bounded_by_the_node_cap():
+    # 4000 segments at order 64: one uncapped rule would hold 260,000 nodes
+    n = 4000
+    contour = Contour(tuple(Segment(complex(k), complex(k + 1), 64) for k in range(n)),
+                      label="t")
+    f = lambda z: np.exp(0.01j * z)
+    integrate_contour(f, contour)        # warm the rule cache
+    tracemalloc.start()
+    try:
+        val = integrate_contour(f, contour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(val - (np.exp(0.01j * n) - 1) / 0.01j) < 1e-9 * n
+    assert peak < 8 * quadrature.NODE_CAP * 16

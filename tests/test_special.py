@@ -7,7 +7,7 @@ from scipy.special import airy, erf
 
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
-                       ode_residual, residue_part, special)
+                       ode_residual, quadrature, residue_part, special)
 from dispgibbs.contour import descent_batches, descent_system, guard_descent
 from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
 
@@ -575,3 +575,28 @@ def test_descent_through_the_pole_is_refused_on_both_paths():
     want = -90.3232693019899 + 38.808014960421694j
     assert eval_I(om, m, y, t) == want
     assert eval_I(om, m, y, t, method="direct") == want
+
+
+def test_lone_direct_query_shares_rules_through_the_hook(monkeypatch):
+    # the segments of a lone contour are refined in lockstep: a handful of
+    # rule calls (28, one segment each, when refined one by one), and every
+    # segment still goes through the hook that profilers and budgets wrap
+    contours, rules = [], []
+    build, rule = special.direct_contour, quadrature.integrate_segment
+
+    def counted_build(*args, **kwargs):
+        contours.append(build(*args, **kwargs))
+        return contours[-1]
+
+    def counted_rule(f, start, end, order):
+        rules.append((start, end))
+        return rule(f, start, end, order)
+
+    monkeypatch.setattr(special, "direct_contour", counted_build)
+    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+    eval_I({3: 1}, 0, 0.5, 1.0)
+    (contour,) = contours
+    assert len(rules) <= 6 < len(contour.segments)
+    seen = {pair for start, end in rules
+            for pair in (zip(start, end) if isinstance(start, tuple) else [(start, end)])}
+    assert seen == {(sg.start, sg.end) for sg in contour.segments}
