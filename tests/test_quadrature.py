@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,22 @@ def test_rule_weight_sum_and_symmetry(order):
     assert abs(weights.sum() - 2.0) < 1e-14
     assert np.allclose(weights, weights[::-1])
     assert np.allclose(nodes, -nodes[::-1])
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 16, 64, 256])
+def test_rule_weights_match_exact_weights(order):
+    # w_k = (c_k / n) (1 - sum_j b_j cos(2 j k pi / n) / (4 j^2 - 1)), with
+    # c_k = 1 at the ends and 2 inside, b_j = 1 at j = n/2 and 2 below,
+    # summed in 30-digit arithmetic
+    with mpmath.workdps(30):
+        exact = []
+        for k in range(order + 1):
+            tail = mpmath.fsum(mpmath.mpf(1 if 2 * j == order else 2) / (4 * j * j - 1)
+                               * mpmath.cos(2 * j * k * mpmath.pi / order)
+                               for j in range(1, order // 2 + 1))
+            exact.append(float((1 if k in (0, order) else 2) * (1 - tail) / order))
+    _, weights = clenshaw_curtis_rule(order)
+    assert np.abs(weights - exact).max() <= 4e-16 * max(exact)
 
 
 def test_polynomial_exactness():
