@@ -18,8 +18,10 @@ With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds (say, of another checkout), for
 changes that move values only in their last bits.  Every line that differs
 in its outcome kind (value or exception type) or exception message, or has
-no counterpart, is printed, and so is the largest |v - v0| / (1 + |v0|)
-over the values, v0 from FILE; the exit code is 1 when any line differs.
+no counterpart, is printed.  Then, for the descent and the auto lines
+apart, the largest |v - v0| / (1 + |v0|) over their values (v0 from FILE)
+is printed with the line where it occurs (seed, index, query).  The exit
+code is 1 when any line differs.
 """
 
 import argparse
@@ -63,7 +65,8 @@ def compare(lines, against):
     for text in against:
         line = json.loads(text)
         saved[line["seed"], line["index"], line["method"]] = line
-    differ, drift = 0, 0.0
+    differ = 0
+    drift = {"descent": (0.0, None), "auto": (0.0, None)}   # method: (largest, its line)
     for line in lines:
         old = saved.pop((line["seed"], line["index"], line["method"]), None)
         if old is None or any(old.get(k, "") != line.get(k, "") for k in ("error", "message")):
@@ -71,12 +74,17 @@ def compare(lines, against):
             print(json.dumps({"now": line, "saved": old}))
         elif "value" in line:
             v0, v = _number(old["value"]), _number(line["value"])
-            drift = max(drift, abs(v - v0) / (1.0 + abs(v0)))
+            moved = abs(v - v0) / (1.0 + abs(v0))
+            if moved > drift[line["method"]][0]:
+                drift[line["method"]] = (moved, line)
     for old in saved.values():
         differ += 1
         print(json.dumps({"now": None, "saved": old}))
-    print(f"{differ} lines differ in outcome or message; "
-          f"largest |v - v0| / (1 + |v0|) = {drift:.3g}")
+    print(f"{differ} lines differ in outcome or message")
+    for method, (moved, line) in drift.items():
+        where = (f" (seed {line['seed']}, index {line['index']}, {line['query']})"
+                 if line else "")
+        print(f"largest |v - v0| / (1 + |v0|) on {method} lines = {moved:.3g}{where}")
     return differ
 
 
