@@ -101,41 +101,40 @@ def integrate_segment(f, start, end, order):
 
 
 class _Ladder:
-    """One segment's refinement: its current order, its last estimates and,
-    once decided, whether it settled or the error it raises."""
+    """One segment's refinement to the tolerance tol: its current order, its
+    last estimates and, once decided, whether it settled or the error it
+    raises (NoConvergence past max_order, or NonFinite)."""
 
-    __slots__ = ("seg", "order", "seglen", "val", "prev", "dprev", "done", "error")
+    __slots__ = ("seg", "tol", "max_order", "order", "seglen", "val", "prev", "dprev",
+                 "done", "error")
 
-    def __init__(self, seg, max_order):
-        self.seg = seg
-        self.order = max(8, seg.order)
-        if self.order % 2:
-            self.order += 1
+    def __init__(self, seg, tol, max_order):
+        self.seg, self.tol, self.max_order = seg, tol, max_order
         seglen = np.abs(np.subtract(seg.end, seg.start))
         self.seglen = seglen if seglen.ndim else float(seglen)
         self.val = self.prev = self.dprev = self.error = None
         self.done = False
-        if self.order > max_order:
-            self._give_up(max_order)
+        order = max(8, seg.order)
+        self._climb_to(order + order % 2)
 
-    def _give_up(self, max_order):
-        self.error = NoConvergence(
-            f"segment {self.seg.start} -> {self.seg.end} did not converge by order {max_order}",
-            last=self.val, previous=self.prev,
-        )
+    def _climb_to(self, order):
+        self.order = order
+        if order > self.max_order:
+            self.error = NoConvergence(
+                f"segment {self.seg.start} -> {self.seg.end} did not converge "
+                f"by order {self.max_order}", last=self.val, previous=self.prev)
 
-    def take(self, val, fmax, tol, max_order):
+    def take(self, val, fmax):
         """Record the estimate at the current order; the segment is done once
-        two successive estimates agree, else it moves up to twice the order
-        (or gives up past max_order)."""
+        two successive estimates agree, else it moves up to twice the order."""
         self.prev, self.val = self.val, val
         if self.prev is not None:
             # relative test, with a floor tied to the integrand scale so that
             # segments whose value nearly cancels still converge once the
             # rule saturates
             d = abs(val - self.prev)
-            scale = tol * fmax * self.seglen
-            done = d <= tol * abs(val) + 1e-3 * scale
+            scale = self.tol * fmax * self.seglen
+            done = d <= self.tol * abs(val) + 1e-3 * scale
             # roundoff plateau: when the integrand carries a huge absolute
             # phase, node values are only good to eps*phase and doubling the
             # order stops helping; accept once the stall is negligible
@@ -147,16 +146,16 @@ class _Ladder:
                 self.done = True
                 return
             self.dprev = d
-        self.order *= 2
-        if self.order > max_order:
-            self._give_up(max_order)
+        self._climb_to(2 * self.order)
 
 
-def _refine(f, order, group, lockstep, tol, max_order):
-    """Apply one rule of the given order to every segment of group: one call
-    with a row per segment under lockstep, else to a lone segment with its
-    own endpoints.  A segment whose rule is not finite records NonFinite,
-    and the segments after it in the group are left as they were."""
+def _refine(f, group, lockstep):
+    """Apply one rule, at the order the segments of group are at, to each of
+    them: one call with a row per segment under lockstep, else to a lone
+    segment with its own endpoints.  A segment whose rule is not finite
+    records NonFinite, and the segments after it in the group are left as
+    they were."""
+    order = group[0].order
     if lockstep:
         try:
             est, fmax = integrate_segment(f, tuple(g.seg.start for g in group),
@@ -164,12 +163,12 @@ def _refine(f, order, group, lockstep, tol, max_order):
         except NonFinite:
             # find the failing segment, and name its endpoints, one at a time
             for ladder in group:
-                _refine(f, order, [ladder], False, tol, max_order)
+                _refine(f, [ladder], False)
                 if ladder.error is not None:
                     break
             return
         for ladder, val, top in zip(group, est.tolist(), fmax.tolist()):
-            ladder.take(val, top, tol, max_order)
+            ladder.take(val, top)
         return
     (ladder,) = group
     try:
@@ -177,15 +176,15 @@ def _refine(f, order, group, lockstep, tol, max_order):
     except NonFinite as exc:
         ladder.error = exc
         return
-    ladder.take(est, fmax, tol, max_order)
+    ladder.take(est, fmax)
 
 
-def _lockstep(f, ladders, tol, max_order):
+def _lockstep(f, ladders):
     """Refine the segments of ladders together until each is done or comes
-    after a segment that failed.  Each round applies the lowest order any
-    live segment is at, to every live segment at that order, so an order
-    is applied once for all of them (in calls of at most NODE_CAP node
-    values)."""
+    after a segment that failed.  Each round applies the lowest order a
+    live segment is at, to every live segment at that order, so that the
+    order is applied once for all of them (in calls of at most NODE_CAP
+    node values)."""
     live = ladders
     while True:
         # a failure stops every segment after it; one before it may still fail
@@ -198,7 +197,7 @@ def _lockstep(f, ladders, tol, max_order):
         group = [ladder for ladder in live if ladder.order == order]
         rows = max(1, NODE_CAP // (order + 1))
         for k in range(0, len(group), rows):
-            _refine(f, order, group[k:k + rows], True, tol, max_order)
+            _refine(f, group[k:k + rows], True)
 
 
 def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
@@ -223,17 +222,17 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     (with the last two estimates attached) if it does not settle by
     max_order, NonFinite on nan/inf.
     """
-    ladders = [_Ladder(seg, max_order) for seg in contour.segments]
+    ladders = [_Ladder(seg, tol, max_order) for seg in contour.segments]
     if ladders and ladders[0].error is None:
-        _refine(f, ladders[0].order, ladders[:1], False, tol, max_order)
+        _refine(f, ladders[:1], False)
         if np.ndim(ladders[0].val) == 0:
-            _lockstep(f, ladders, tol, max_order)
+            _lockstep(f, ladders)
     # a batch of integrands is refined here, segment by segment; after the
     # lockstep rounds every segment is done up to the first that failed
     total = 0j
     for ladder in ladders:
         while not ladder.done and ladder.error is None:
-            _refine(f, ladder.order, [ladder], False, tol, max_order)
+            _refine(f, [ladder], False)
         if ladder.error is not None:
             raise ladder.error
         total += ladder.val
