@@ -159,10 +159,9 @@ def _descent_core(can, m, s, system):
     and integrate_contour refines its segments in lockstep.
     """
     phase = system.phase
-    lone = np.ndim(phase.big_x) == 0
 
-    def column(a):
-        return a if lone else np.reshape(a, (-1, 1))
+    def column(a):   # one row per point of a batch; a lone point's scalars stay
+        return np.reshape(a, (-1, 1)) if np.ndim(a) else a
 
     X = column(phase.big_x)
     W = tuple(column(c) for c in phase.wcoeffs)
