@@ -110,8 +110,10 @@ class _Ladder:
 
     def __init__(self, seg, tol, max_order):
         self.seg, self.tol, self.max_order = seg, tol, max_order
-        seglen = np.abs(np.subtract(seg.end, seg.start))
-        self.seglen = seglen if seglen.ndim else float(seglen)
+        if isinstance(seg.start, tuple):   # one segment per point of a batch
+            self.seglen = np.abs(np.subtract(seg.end, seg.start))
+        else:
+            self.seglen = abs(seg.end - seg.start)
         self.val = self.prev = self.dprev = self.error = None
         self.done = False
         order = max(8, seg.order)
