@@ -151,34 +151,34 @@ class _Ladder:
         self._climb_to(2 * self.order)
 
 
-def _refine(f, group, lockstep):
+def _refine(f, group):
     """Apply one rule, at the order the segments of group are at, to each of
-    them: one call with a row per segment under lockstep, else to a lone
-    segment with its own endpoints.  A segment whose rule is not finite
-    records NonFinite, and the segments after it in the group are left as
-    they were."""
+    them: to a lone segment with its own endpoints, to two or more (whose
+    integrand is elementwise) in one call with a row per segment.  A
+    segment whose rule is not finite records NonFinite, and the segments
+    after it in the group are left as they were."""
     order = group[0].order
-    if lockstep:
+    if len(group) == 1:
+        (ladder,) = group
         try:
-            est, fmax = integrate_segment(f, tuple(g.seg.start for g in group),
-                                          tuple(g.seg.end for g in group), order)
-        except NonFinite:
-            # find the failing segment, and name its endpoints, one at a time
-            for ladder in group:
-                _refine(f, [ladder], False)
-                if ladder.error is not None:
-                    break
-            return
-        for ladder, val, top in zip(group, est.tolist(), fmax.tolist()):
-            ladder.take(val, top)
+            est, fmax = integrate_segment(f, ladder.seg.start, ladder.seg.end, order)
+        except NonFinite as exc:
+            ladder.error = exc
+        else:
+            ladder.take(est, fmax)
         return
-    (ladder,) = group
     try:
-        est, fmax = integrate_segment(f, ladder.seg.start, ladder.seg.end, order)
-    except NonFinite as exc:
-        ladder.error = exc
+        est, fmax = integrate_segment(f, tuple(g.seg.start for g in group),
+                                      tuple(g.seg.end for g in group), order)
+    except NonFinite:
+        # find the failing segment, and name its endpoints, one at a time
+        for ladder in group:
+            _refine(f, [ladder])
+            if ladder.error is not None:
+                break
         return
-    ladder.take(est, fmax)
+    for ladder, val, top in zip(group, est.tolist(), fmax.tolist()):
+        ladder.take(val, top)
 
 
 def _lockstep(f, ladders):
@@ -199,7 +199,7 @@ def _lockstep(f, ladders):
         group = [ladder for ladder in live if ladder.order == order]
         rows = max(1, NODE_CAP // (order + 1))
         for k in range(0, len(group), rows):
-            _refine(f, group[k:k + rows], True)
+            _refine(f, group[k:k + rows])
 
 
 def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
@@ -226,7 +226,7 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     """
     ladders = [_Ladder(seg, tol, max_order) for seg in contour.segments]
     if ladders and ladders[0].error is None:
-        _refine(f, ladders[:1], False)
+        _refine(f, ladders[:1])
         if np.ndim(ladders[0].val) == 0:
             _lockstep(f, ladders)
     # a batch of integrands is refined here, segment by segment; after the
@@ -234,7 +234,7 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     total = 0j
     for ladder in ladders:
         while not ladder.done and ladder.error is None:
-            _refine(f, [ladder], False)
+            _refine(f, [ladder])
         if ladder.error is not None:
             raise ladder.error
         total += ladder.val
