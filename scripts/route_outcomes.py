@@ -1,7 +1,8 @@
 """Print what eval_I answers on the benchmark's seeded queries, one JSON line each.
 
     python3 scripts/route_outcomes.py SEED...
-    python3 scripts/route_outcomes.py --against FILE SEED...
+    python3 scripts/route_outcomes.py --grid SEED...
+    python3 scripts/route_outcomes.py [--grid] --against FILE SEED...
 
 For every draw of perfbench.workloads.draw_queries(SEED) with t > 0 the
 script prints the outcome of method="descent" and of method="auto", so the
@@ -14,27 +15,55 @@ contours of thousands of segments included (up to about 2 s of CPU for some
 draws).  The package is imported from this checkout's src; perfbench is
 only read.
 
+With --grid the lines pin the grid (batch) path instead, where a
+contour's rules carry one row per point: for every draw with t > 0,
+eval_I_grid of the draw's symbol, m and t with method "auto" and "direct"
+(lines "grid-auto" and "grid-direct") on the canonical shapes GRID_SHAPES,
+placed at y as the draws place theirs, the value being the repr of the
+list of values; then, once, overshoot_table([3, 5, 9]) at
+sigma = 1, t = 1 ("gibbs", the repr of the table) and the CSV that the
+benchmark's solve workload prints ("solve").
+
 With --against FILE the lines are not printed but compared with FILE, the
-output of an earlier run on the same seeds (say, of another checkout), for
-changes that move values only in their last bits.  Every line that differs
-in its outcome kind (value or exception type) or exception message, or has
-no counterpart, is printed.  Then, for the descent and the auto lines
-apart, the largest |v - v0| / (1 + |v0|) over their values (v0 from FILE)
-is printed with the line where it occurs (seed, index, query).  The exit
+output of an earlier run on the same seeds and mode (say, of another
+checkout), for changes that move values only in their last bits.  Every
+line that differs in its outcome kind (value or exception type) or
+exception message, or in how many numbers its value shows, or has no
+counterpart, is printed.  Then, for each method apart, the largest
+|v - v0| / (1 + |v0|) over the numbers of its values (v0 from FILE) is
+printed with the line where it occurs (seed, index, query).  The exit
 code is 1 when any line differs.
 """
 
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from dispgibbs import eval_I  # noqa: E402
-from workloads import draw_queries  # noqa: E402
+from dispgibbs import cli, eval_I, eval_I_grid, gibbs  # noqa: E402
+from workloads import GIBBS_DEGREES, SOLVE_ARGS, draw_queries  # noqa: E402
+
+GRID_SHAPES = np.linspace(-8.0, 8.0, 9)   # both routes under auto: |s| >= 4 is descent
+
+
+def _outcome(line, value, show=repr):
+    """line with the exact repr of value() (or another show of it), or the
+    exception it raises."""
+    try:
+        line["value"] = show(value())
+    except Exception as exc:   # every outcome is printed, failures too
+        line["error"] = type(exc).__name__
+        line["message"] = str(exc)
+    return line
 
 
 def outcomes(seed):
@@ -42,41 +71,75 @@ def outcomes(seed):
         if t <= 0:
             continue
         for method in ("descent", "auto"):
-            line = {"seed": seed, "index": index, "method": method,
-                    "query": repr((coeffs, m, y, t))}
-            try:
-                line["value"] = repr(eval_I(coeffs, m, y, t, method=method))
-            except Exception as exc:   # every outcome is printed, failures too
-                line["error"] = type(exc).__name__
-                line["message"] = str(exc)
-            yield line
+            yield _outcome({"seed": seed, "index": index, "method": method,
+                            "query": repr((coeffs, m, y, t))},
+                           lambda: eval_I(coeffs, m, y, t, method=method))
 
 
-def _number(text):
-    """The complex number a value's repr shows, bare or numpy's
-    "np.complex128(...)"."""
-    return complex(re.sub(r"^[\w.]+\((.*)\)$", r"\1", text))
+def grid_outcomes(seed):
+    for index, (_, coeffs, m, y, t) in enumerate(draw_queries(seed)):
+        if t <= 0:
+            continue
+        # the shapes s = (y - drift t) / u, as workloads._query places them
+        n = max(coeffs)
+        u = (abs(complex(coeffs[n])) * t) ** (1.0 / n)
+        ys = GRID_SHAPES * u + complex(coeffs.get(1, 0)).real * t
+        for method in ("auto", "direct"):
+            yield _outcome({"seed": seed, "index": index, "method": "grid-" + method,
+                            "query": repr((coeffs, m, ys.tolist(), t))},
+                           lambda: eval_I_grid(coeffs, m, ys, t, method=method).tolist())
+
+
+def batch_products():
+    """The gibbs table and the solve CSV of the benchmark's workloads."""
+    yield _outcome({"seed": None, "index": None, "method": "gibbs",
+                    "query": repr((list(GIBBS_DEGREES), 1.0, 1.0))},
+                   lambda: gibbs.overshoot_table(list(GIBBS_DEGREES), sigma=1.0, t=1.0))
+
+    def solve_csv():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main.main(args=list(SOLVE_ARGS), standalone_mode=False)
+        return out.getvalue()
+
+    yield _outcome({"seed": None, "index": None, "method": "solve",
+                    "query": " ".join(SOLVE_ARGS)}, solve_csv, show=str)
+
+
+# complex reprs, bare or inside numpy's "np.complex128(...)", and real
+# numbers standing alone (not parts of names such as inf_abs or float64)
+_NUMBER = re.compile(r"\([^()]*j\)|(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)j?(?![\w.])")
+
+
+def _numbers(text):
+    """The numbers a value's repr shows: one complex value, the values of a
+    list, the fields of a table or the cells of a CSV."""
+    return [complex(token) for token in _NUMBER.findall(text)]
 
 
 def compare(lines, against):
     """Print how `lines` differ from the saved outcomes `against`; returns
-    the number of lines that differ in kind or message."""
+    the number of lines that differ in kind, message or length of value."""
     saved = {}
     for text in against:
         line = json.loads(text)
         saved[line["seed"], line["index"], line["method"]] = line
     differ = 0
-    drift = {"descent": (0.0, None), "auto": (0.0, None)}   # method: (largest, its line)
+    drift = {}   # method: (largest, its line)
     for line in lines:
         old = saved.pop((line["seed"], line["index"], line["method"]), None)
-        if old is None or any(old.get(k, "") != line.get(k, "") for k in ("error", "message")):
+        largest = drift.setdefault(line["method"], (0.0, None))[0]
+        same = old is not None and all(old.get(k, "") == line.get(k, "")
+                                       for k in ("error", "message"))
+        if same and "value" in line:
+            v, v0 = _numbers(line["value"]), _numbers(old["value"])
+            same = len(v) == len(v0)
+            moved = max((abs(a - b) / (1.0 + abs(b)) for a, b in zip(v, v0)), default=0.0)
+            if same and moved > largest:
+                drift[line["method"]] = (moved, line)
+        if not same:
             differ += 1
             print(json.dumps({"now": line, "saved": old}))
-        elif "value" in line:
-            v0, v = _number(old["value"]), _number(line["value"])
-            moved = abs(v - v0) / (1.0 + abs(v0))
-            if moved > drift[line["method"]][0]:
-                drift[line["method"]] = (moved, line)
     for old in saved.values():
         differ += 1
         print(json.dumps({"now": None, "saved": old}))
@@ -90,11 +153,17 @@ def compare(lines, against):
 
 def main(argv):
     parser = argparse.ArgumentParser(description="eval_I outcomes on the queries draws")
+    parser.add_argument("--grid", action="store_true",
+                        help="pin eval_I_grid, the gibbs table and the solve CSV instead")
     parser.add_argument("--against", type=argparse.FileType(),
                         help="compare with this earlier output instead of printing")
     parser.add_argument("seeds", nargs="+", type=int)
     args = parser.parse_args(argv)
-    lines = (line for seed in args.seeds for line in outcomes(seed))
+    if args.grid:
+        lines = itertools.chain((line for seed in args.seeds for line in grid_outcomes(seed)),
+                                batch_products())
+    else:
+        lines = (line for seed in args.seeds for line in outcomes(seed))
     if args.against:
         sys.exit(1 if compare(lines, args.against) else 0)
     for line in lines:

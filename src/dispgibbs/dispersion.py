@@ -62,10 +62,37 @@ class DegeneratePhase(RuntimeError):
 
 def polyval(coeffs, z):
     """sum_j coeffs[j] z^j by Horner's rule, ascending coefficients; z may be
-    a scalar or an array (on arrays, the same arithmetic as numpy's polyval)."""
+    a scalar or an array (on arrays, the same arithmetic as numpy's polyval).
+
+    On an array z the steps after the first take turns writing into two
+    arrays of the result's shape, so that they allocate nothing, and skip
+    the + 0 of a zero coefficient (a scalar 0 or an all-zero array) before
+    the constant term.  That add only turns -0.0 parts into +0.0, the later
+    products carry such a sign only into zero parts, and the constant term
+    is always added: the result is plain Horner's, bit for bit, unless the
+    constant term itself has a -0.0 part.  Every coefficient must broadcast
+    to the shape of z * coeffs[-1].  Each product goes to the other array,
+    never in place: numpy may round an in-place complex product
+    differently (it does for one-element arrays).
+    """
     acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    if not isinstance(z, np.ndarray) or not z.ndim:
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+    spare = None
+    last = len(coeffs) - 1
+    for k, c in enumerate(reversed(coeffs)):
+        if k == 0:
+            acc = acc * z + c
+            continue
+        if spare is None:
+            spare = np.empty_like(acc)
+        np.multiply(acc, z, out=spare)
+        if k == last or (c.any() if isinstance(c, np.ndarray) else c != 0):
+            np.add(spare, c, out=acc)
+        else:
+            acc, spare = spare, acc
     return acc
 
 

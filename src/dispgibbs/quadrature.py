@@ -8,6 +8,9 @@ two successive estimates agree.  The segments of one contour climb their
 ladders together when the integrand is elementwise, so that one rule call
 serves every segment at the same order (numpy's fixed cost per call is
 tens of microseconds, more than a rule of 33..129 nodes costs to apply).
+A batch of integrands (a grid) climbs one segment at a time instead, and
+there each doubling evaluates only the new nodes: the nodes of order 2N at
+even indices are those of order N, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -98,6 +101,29 @@ def integrate_segment(f, start, end, order):
     # takes a slow path in numpy, milliseconds for a few hundred rows
     est = np.matmul(weights, fz.view(float).reshape(fz.shape + (2,)))
     return half * est.view(complex)[..., 0], np.abs(fz).max(axis=-1)
+
+
+class _Nested:
+    """The integrand f on one segment, keeping the node values of its last
+    rule: when the next rule has twice the order, its even-indexed nodes
+    are the last rule's nodes, bit for bit, so only the odd-indexed ones go
+    to f.  f must treat the nodes (its last axis) independently."""
+
+    __slots__ = ("f", "last")
+
+    def __init__(self, f):
+        self.f, self.last = f, None
+
+    def __call__(self, z):
+        last = self.last
+        if last is None or z.shape[-1] != 2 * last.shape[-1] - 1:
+            fz = np.asarray(self.f(z), dtype=complex)
+        else:
+            fz = np.empty(last.shape[:-1] + z.shape[-1:], dtype=complex)
+            fz[..., ::2] = last
+            fz[..., 1::2] = self.f(np.ascontiguousarray(z[..., 1::2]))
+        self.last = fz
+        return fz
 
 
 class _Ladder:
@@ -218,23 +244,30 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     each round applies the lowest order a live segment is at, in one
     integrate_segment call with a row per segment at that order (more
     calls only past NODE_CAP node values).  A batch of integrands refines
-    one segment at a time, as its rule already carries every point.
+    one segment at a time, as its rule already carries every point, and
+    each doubling evaluates f only on the nodes the last rule did not have
+    (f must treat its nodes independently).  The lockstep rounds evaluate
+    every node: keeping each segment's values between rounds would break
+    the NODE_CAP bound on memory.
     Either way each segment meets the same orders, and the first segment
     in contour order that fails decides what is raised: NoConvergence
     (with the last two estimates attached) if it does not settle by
     max_order, NonFinite on nan/inf.
     """
     ladders = [_Ladder(seg, tol, max_order) for seg in contour.segments]
+    first = _Nested(f)   # the first segment's integrand, should it climb alone
     if ladders and ladders[0].error is None:
-        _refine(f, ladders[:1])
+        _refine(first, ladders[:1])
         if np.ndim(ladders[0].val) == 0:
             _lockstep(f, ladders)
-    # a batch of integrands is refined here, segment by segment; after the
+    # a batch of integrands is refined here, segment by segment, each rule
+    # evaluating only the nodes its segment's last rule did not; after the
     # lockstep rounds every segment is done up to the first that failed
     total = 0j
-    for ladder in ladders:
+    for k, ladder in enumerate(ladders):
+        nested = first if k == 0 else _Nested(f)
         while not ladder.done and ladder.error is None:
-            _refine(f, [ladder])
+            _refine(nested, [ladder])
         if ladder.error is not None:
             raise ladder.error
         total += ladder.val

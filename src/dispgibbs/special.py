@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DESCENT_THRESHOLD = 4.0   # switch to saddle contours once |y|/u exceeds this
+_INV_TWO_PI = 1.0 / (2.0 * math.pi)   # x * this is numpy's x / 2pi for complex x, bit for bit
 
 
 def _validate(m, ys, t, method):
@@ -130,15 +131,13 @@ def _direct_core(can, m, s):
     combined phase so that every point overflows exactly where it would
     alone.
     """
-    two_pi = 2.0 * math.pi
-
     def f(z):
         val = 1j * z * s              # in place from here: the batch is large
         val -= 1j * can(z)
         np.exp(val, out=val)
         if m >= 0:
             val /= (1j * z) ** (m + 1)
-        val /= two_pi
+        val *= _INV_TWO_PI
         return val
 
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
@@ -165,7 +164,6 @@ def _descent_core(can, m, s, system):
 
     X = column(phase.big_x)
     W = tuple(column(c) for c in phase.wcoeffs)
-    two_pi = 2.0 * math.pi
     total = 0j
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for zj, cont in zip(system.points, system.contours):
@@ -174,10 +172,18 @@ def _descent_core(can, m, s, system):
                 raise NonFinite("descent saddle magnitude overflows")
 
             def g(z, _c=column(c_ref)):
-                val = np.exp(X * (1j * (z - polyval(W, z))) - _c)
+                # exp(X (i (z - W(z))) - c), operands in this order; the two
+                # products write to another array than they read (see polyval)
+                val = polyval(W, z)
+                np.subtract(z, val, out=val)
+                arg = np.multiply(1j, val)
+                np.multiply(X, arg, out=val)
+                val -= _c
+                np.exp(val, out=val)
                 if m >= 0:
-                    val = val / (1j * z) ** (m + 1)
-                return val / two_pi
+                    val /= (1j * z) ** (m + 1)
+                val *= _INV_TWO_PI
+                return val
 
             total = total + integrate_contour(g, cont) * np.exp(c_ref)
 

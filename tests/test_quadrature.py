@@ -41,6 +41,14 @@ def test_rule_weights_match_exact_weights(order):
     assert np.abs(weights - exact).max() <= 4e-16 * max(exact)
 
 
+def test_rule_nodes_nest_exactly():
+    # the even-indexed nodes of order 2N are those of order N, bit for bit:
+    # a grid's doubled rule reuses their integrand values
+    for order in range(2, quadrature.MAX_ORDER // 2 + 1, 2):
+        fine, coarse = clenshaw_curtis_rule(2 * order)[0], clenshaw_curtis_rule(order)[0]
+        assert fine[::2].tobytes() == coarse.tobytes(), order
+
+
 def test_polynomial_exactness():
     # CC with N+1 points integrates monomials of degree <= N exactly
     for order in (4, 8, 12):
@@ -130,8 +138,9 @@ def test_batched_rows_each_converge():
 
 
 def _reference_orders(rule, f, seg, tol=quadrature.TOL, max_order=quadrature.MAX_ORDER):
-    """The orders a segment-by-segment loop applies to seg: from its own
-    order (at least 8, even), doubling until two estimates agree."""
+    """The orders a segment-by-segment loop applies to seg, every rule
+    evaluating f on all its nodes: from its own order (at least 8, even),
+    doubling until two estimates agree.  Returns them and the last estimate."""
     order = max(8, seg.order)
     order += order % 2
     seglen = np.abs(np.subtract(seg.end, seg.start))
@@ -150,37 +159,46 @@ def _reference_orders(rule, f, seg, tol=quadrature.TOL, max_order=quadrature.MAX
                 break
             dprev = d
         order *= 2
-    return orders
+    return orders, val
 
 
 def _ladders_seen(monkeypatch, evaluate):
-    """Run evaluate() with the module hooks wrapped; returns the rule calls
-    and, per contour integral, its integrand, its contour and the orders
-    each of its segments received (a call with a row per segment counts
-    for each of them)."""
-    integrals, calls = [], []
+    """Run evaluate() with the module hooks wrapped; returns the number of
+    segments of each rule call and, per contour integral, its integrand,
+    its contour, its value and, per segment, the orders of its rules and
+    the node columns its integrand received (a call with a row per segment
+    counts for each of them)."""
+    integrals, segments, pairs = [], [], []
     integrate, rule = special.integrate_contour, quadrature.integrate_segment
 
     def hooked_integrate(f, contour, **kwargs):
-        integrals.append((f, contour, {}))
-        return integrate(f, contour, **kwargs)
+        seen = {"f": f, "contour": contour, "orders": {}, "columns": {}}
+        integrals.append(seen)
+
+        def counted(z):
+            for pair in pairs:
+                seen["columns"][pair] = seen["columns"].get(pair, 0) + z.shape[-1]
+            return f(z)
+
+        seen["value"] = integrate(counted, contour, **kwargs)
+        return seen["value"]
 
     def hooked_rule(f, start, end, order):
-        calls.append((start, end, order))
-        _, contour, seen = integrals[-1]
-        if (start, end) in {(sg.start, sg.end) for sg in contour.segments}:
-            pairs = [(start, end)]
+        seen = integrals[-1]
+        if (start, end) in {(sg.start, sg.end) for sg in seen["contour"].segments}:
+            pairs[:] = [(start, end)]
         else:
-            pairs = list(zip(start, end))
+            pairs[:] = zip(start, end)
+        segments.append(len(pairs))
         for pair in pairs:
-            seen.setdefault(pair, []).append(order)
+            seen["orders"].setdefault(pair, []).append(order)
         return rule(f, start, end, order)
 
     monkeypatch.setattr(special, "integrate_contour", hooked_integrate)
     monkeypatch.setattr(quadrature, "integrate_segment", hooked_rule)
     evaluate()
     monkeypatch.undo()
-    return calls, integrals
+    return segments, integrals
 
 
 @pytest.mark.parametrize("evaluate, grouped", [
@@ -188,18 +206,34 @@ def _ladders_seen(monkeypatch, evaluate):
     (lambda: eval_I({4: -1j, 3: 0.5, 2: 0.3}, 1, 0.5, 1.0), True),
     (lambda: eval_I({3: 1}, 0, 12.0, 1.0), True),
     (lambda: eval_I_grid({3: 1}, 0, np.linspace(-2.0, 2.0, 9), 1.0), False),
-], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "grid-rows"])
+    (lambda: eval_I_grid({4: -1j, 3: 0.5}, 1, np.linspace(-9.0, 9.0, 7), 1.0,
+                         method="auto"), False),
+], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "grid-rows", "grid-rows-auto"])
 def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, grouped):
-    # each segment meets exactly the orders a segment-by-segment loop
-    # gives it; only an elementwise integrand shares rules between segments
-    calls, integrals = _ladders_seen(monkeypatch, evaluate)
+    # each segment meets exactly the orders a segment-by-segment loop gives
+    # it, and the contour's value is that loop's sum, bit for bit; only an
+    # elementwise integrand shares rules between segments, and only a grid
+    # (refined segment by segment) evaluates each node of a segment once:
+    # its doubled rule evaluates just the nodes at odd indices
+    per_call, integrals = _ladders_seen(monkeypatch, evaluate)
     assert integrals
-    for f, contour, seen in integrals:
-        assert len(contour.segments) > 1
-        assert seen == {(sg.start, sg.end): _reference_orders(integrate_segment, f, sg)
-                        for sg in contour.segments}
-    rows = [len(start) for start, _, _ in calls if isinstance(start, tuple)]
-    assert (max(rows, default=1) > 1) == grouped
+    for seen in integrals:
+        segments = seen["contour"].segments
+        assert len(segments) > 1
+        reference = {(sg.start, sg.end): _reference_orders(integrate_segment, seen["f"], sg)
+                     for sg in segments}
+        assert seen["orders"] == {pair: orders for pair, (orders, _) in reference.items()}
+        total = 0j
+        for _, val in reference.values():
+            total += val
+        assert np.asarray(seen["value"]).tobytes() == np.asarray(total).tobytes()
+        if grouped:
+            nodes = {pair: sum(o + 1 for o in orders) for pair, orders in seen["orders"].items()}
+        else:
+            nodes = {pair: orders[0] + 1 + sum(o // 2 for o in orders[1:])
+                     for pair, orders in seen["orders"].items()}
+        assert seen["columns"] == nodes
+    assert (max(per_call) > 1) == grouped
 
 
 def _three_segments(*order):
