@@ -76,20 +76,16 @@ def polyval(coeffs, z):
     differently (it does for one-element arrays).
     """
     acc = 0j
-    if not isinstance(z, np.ndarray) or not z.ndim:
+    if not isinstance(z, np.ndarray) or not z.ndim or len(coeffs) < 2:
         for c in reversed(coeffs):
             acc = acc * z + c
         return acc
-    spare = None
-    last = len(coeffs) - 1
-    for k, c in enumerate(reversed(coeffs)):
-        if k == 0:
-            acc = acc * z + c
-            continue
-        if spare is None:
-            spare = np.empty_like(acc)
+    acc = acc * z + coeffs[-1]
+    spare = np.empty_like(acc)
+    for j in range(len(coeffs) - 2, -1, -1):
+        c = coeffs[j]
         np.multiply(acc, z, out=spare)
-        if k == last or (c.any() if isinstance(c, np.ndarray) else c != 0):
+        if j == 0 or (c.any() if isinstance(c, np.ndarray) else c != 0):
             np.add(spare, c, out=acc)
         else:
             acc, spare = spare, acc
