@@ -56,6 +56,7 @@ __all__ = [
 
 # drop in exp(Re X Phi) from the saddle to the tail ends; e^-45 ~ 2.9e-20
 TAIL_DROP = 45.0
+TAIL_SLACK = 1.0        # a tail end may sit this far past the drop (see _march_out)
 ARC_CHORDS = 8
 BEND_PAD = 1.3          # direct bend radius over the saddle and dominance radii, at most 1 + 1/n
 PHASE_BUDGET = 120.0    # radians of accumulated-phase bound per direct segment
@@ -149,24 +150,34 @@ def _ray_for_end(omega, exponent, anchor, want_right):
 def _march_out(logmag, anchor, theta, step0):
     """Distance L to the logmag = -TAIL_DROP crossing along anchor + L e^i theta.
 
-    Doubles until the drop is met, then bisects back to the crossing:
+    Doubles until the drop is met, then bisects back towards the crossing:
     for steep symbols the doubling overshoots by orders of magnitude and
     the overshot stretch carries integrand values below the subnormal
-    floor, which quadrature sees as pure rounding noise.
+    floor, which quadrature sees as pure rounding noise.  The bisection
+    stops as soon as the end it keeps has dropped by at most TAIL_DROP +
+    TAIL_SLACK (the value there is already known), or after 60 halvings:
+    the end always has logmag <= -TAIL_DROP, so the cut only moves
+    outward, into integrand values e^-TAIL_DROP below the peak that the
+    quadrature cannot see.  The stop is tied to the level, not to a count
+    of halvings, because a bracket from 0 can hold the crossing anywhere.
     """
     e = cmath.exp(1j * theta)
     L = step0
     for _ in range(200):
-        if logmag(anchor + L * e) <= -TAIL_DROP:
+        v = logmag(anchor + L * e)
+        if v <= -TAIL_DROP:
             break
         L *= 2.0
     else:
         raise DegeneratePhase("integrand refuses to decay along chosen ray")
     lo, hi = (0.0 if L <= step0 else L / 2.0), L
     for _ in range(60):          # the halvings of _march_rows, one by one
+        if v >= -TAIL_DROP - TAIL_SLACK:
+            break
         mid = 0.5 * (lo + hi)
-        if logmag(anchor + mid * e) <= -TAIL_DROP:
-            hi = mid
+        w = logmag(anchor + mid * e)
+        if w <= -TAIL_DROP:
+            hi, v = mid, w
         else:
             lo = mid
     return hi
@@ -445,11 +456,14 @@ def descent_system(phase):
 
 def _march_rows(logmag, anchor, theta, step0):
     """_march_out for an array of tails in lockstep; nan where a tail's
-    doubling does not reach the drop."""
+    doubling does not reach the drop.  A tail stops moving once its end is
+    within TAIL_SLACK of the drop, so each gets the halvings of its lone
+    _march_out."""
     e = np.exp(1j * theta)
     L = step0.copy()
     for _ in range(200):
-        grow = ~(logmag(anchor + L * e) <= -TAIL_DROP)
+        v = logmag(anchor + L * e)
+        grow = ~(v <= -TAIL_DROP)
         if not grow.any():
             break
         L = np.where(grow, 2.0 * L, L)
@@ -457,11 +471,16 @@ def _march_rows(logmag, anchor, theta, step0):
         L[grow] = np.nan
     lo = np.where(L <= step0, 0.0, L / 2.0)
     hi = L
+    live = (v < -TAIL_DROP - TAIL_SLACK) & ~np.isnan(L)
     for _ in range(60):
+        if not live.any():
+            break
         mid = 0.5 * (lo + hi)
-        down = logmag(anchor + mid * e) <= -TAIL_DROP
+        w = logmag(anchor + mid * e)
+        down = live & (w <= -TAIL_DROP)
         hi = np.where(down, mid, hi)
-        lo = np.where(down, lo, mid)
+        lo = np.where(live & ~down, mid, lo)
+        live &= ~(down & (w >= -TAIL_DROP - TAIL_SLACK))
     return hi
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispgibbs import (DegeneratePhase, DispersionRelation, NoConvergence, decay_directions,
-                       descent_system, direct_contour, integrate_contour, normalize,
-                       pole_avoiding_contour, scaled_phase, validate_descent)
-from dispgibbs.contour import (MAX_SEGMENTS, PHASE_BUDGET, TAIL_DROP, _phase_exponent,
-                               _phase_knots)
+from dispgibbs import (DegeneratePhase, DispersionRelation, NoConvergence, contour,
+                       decay_directions, descent_system, direct_contour, integrate_contour,
+                       normalize, pole_avoiding_contour, scaled_phase, validate_descent)
+from dispgibbs.contour import (MAX_SEGMENTS, PHASE_BUDGET, TAIL_DROP, TAIL_SLACK,
+                               _phase_exponent, _phase_knots, descent_batches)
+from dispgibbs.dispersion import scaled_phase_rows
 from dispgibbs.special import _canonical
 
 
@@ -321,3 +322,119 @@ def test_doubling_order_saturates():
         cont = direct_contour(om, 0, 2.0, order=order)
         vals.append(integrate_contour(f, cont))
     assert abs(vals[0] - vals[1]) < 1e-10
+
+
+def _recorded_marches(monkeypatch):
+    """Record every _march_out call of the lone builders as (the logmag
+    values it asked for, in order; logmag at the end it returned)."""
+    marches = []
+    march_out = contour._march_out
+
+    def recorded(logmag, anchor, theta, step0):
+        vals = []
+
+        def counted(z):
+            vals.append(logmag(z))
+            return vals[-1]
+
+        L = march_out(counted, anchor, theta, step0)
+        marches.append((vals, logmag(anchor + L * cmath.exp(1j * theta))))
+        return L
+
+    monkeypatch.setattr(contour, "_march_out", recorded)
+    return marches
+
+
+def _capped(vals):
+    # 60 halvings after the doubling's first value at the drop
+    first = next(i for i, v in enumerate(vals) if v <= -TAIL_DROP)
+    return len(vals) - first - 1 == 60
+
+
+def _within_the_slack(drop, tol=0.0):
+    return TAIL_DROP - tol <= drop <= TAIL_DROP + TAIL_SLACK + tol
+
+
+_TAIL_SYMBOLS = [{2: 1}, {2: -1j}, {3: 1}, {3: -1}, {3: 1, 2: -0.5j}, {4: 1, 3: 2},
+                 {4: -1j}, {5: 1}, {5: -1}]
+
+
+def _lone_descent(om, y, monkeypatch):
+    """descent_system at (y, t = 1) with its marches recorded, or None
+    when its geometry fails."""
+    marches = _recorded_marches(monkeypatch)
+    try:
+        return descent_system(scaled_phase(om, y, 1.0)), marches
+    except DegeneratePhase:
+        return None, marches
+
+
+@pytest.mark.parametrize("coeffs", _TAIL_SYMBOLS)
+def test_descent_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatch):
+    om = normalize(coeffs)
+    built = 0
+    for y in (-12.0, -5.0, 5.0, 12.0):
+        sysd, marches = _lone_descent(om, y, monkeypatch)
+        if sysd is None:
+            continue
+        built += 1
+        assert validate_descent(sysd, samples=64).ok, (coeffs, y)
+        assert len(marches) == 2 * len(sysd.points)
+        capped = [_capped(vals) for vals, _ in marches]
+        for (_, end), cap in zip(marches, capped):
+            assert cap or _within_the_slack(-end), (coeffs, y, end)
+        # the contour ends are the marches' ends, forward then backward
+        phase = sysd.phase
+        for j, (zj, cont) in enumerate(zip(sysd.points, sysd.contours)):
+            ref = complex(phase.phi(zj)).real
+            for k, tip in enumerate((cont.segments[2].end, cont.segments[0].start)):
+                drop = -phase.big_x * (complex(phase.phi(tip)).real - ref)
+                assert capped[2 * j + k] or _within_the_slack(drop), (coeffs, y, drop)
+    assert built
+
+
+@pytest.mark.parametrize("s", [-5.0, 2.5, 12.0])
+@pytest.mark.parametrize("coeffs", [{n: 1.0} for n in (3, 5, 7, 9)]
+                         + [{3: 1, 2: 1}, {3: -1, 2: -1.46}, {5: 1, 2: -0.5j}])
+def test_direct_ray_ends_sit_within_the_slack_past_the_drop(coeffs, s, monkeypatch):
+    # odd real symbols never die on the real axis: both sides are bent
+    marches = _recorded_marches(monkeypatch)
+    direct_contour(normalize(coeffs), 0, s)
+    assert len(marches) == 2
+    for vals, end in marches:
+        assert _capped(vals) or _within_the_slack(-end), (coeffs, s, end)
+
+
+@pytest.mark.parametrize("coeffs", _TAIL_SYMBOLS)
+def test_batched_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatch):
+    om = normalize(coeffs)
+    ys = np.concatenate([np.linspace(-12.0, -4.0, 9), np.linspace(4.0, 12.0, 9)])
+    rows = 0
+    for idx, sysd in descent_batches(scaled_phase_rows(om, ys), 0, False):
+        phase = sysd.phase
+        X = np.asarray(phase.big_x)[:, None]
+        for zj, cont in zip(sysd.points, sysd.contours):
+            tips = np.array([cont.segments[2].end, cont.segments[0].start]).T
+            ref = phase.phi_rows(zj[:, None]).real
+            drops = -X * (phase.phi_rows(tips).real - ref)
+            for r, y in enumerate(ys[idx].tolist()):
+                if all(_within_the_slack(d, 1e-9) for d in drops[r]):
+                    continue
+                # a row stops where its lone march stops: at the cap here
+                _, marches = _lone_descent(om, y, monkeypatch)
+                assert any(_capped(vals) for vals, _ in marches), (coeffs, y, drops[r])
+        rows += len(idx)
+    assert rows
+
+
+@pytest.mark.parametrize("build", [
+    lambda: descent_system(scaled_phase(normalize({3: 1}), 12.0, 1.0)),
+    lambda: direct_contour(normalize({5: 1}), 0, 2.5),
+    lambda: direct_contour(normalize({5: 1}), 1, -5.0),
+], ids=["k3-descent-s12", "k5-direct-s2.5", "k5-direct-s-5"])
+def test_tail_march_evaluations_stay_few(build, monkeypatch):
+    # the march stops one e-fold past the drop, not after 60 halvings
+    marches = _recorded_marches(monkeypatch)
+    build()
+    assert marches
+    assert max(len(vals) for vals, _ in marches) <= 20
