@@ -73,8 +73,9 @@ def overshoot(n, sigma=1.0, t=1.0):
     the similarity length (|sigma| t)^{1/n}).  Each of the six targets
     (+-Re G, +-Im G, +-|G|^2; |G| itself has a kink at a zero of G) is then
     interpolated on CHEB_POINTS Chebyshev points over the two grid steps
-    around its grid extremum, the interpolant's maximum is located, and G
-    is evaluated there.  Every stage is one eval_I_grid batch.  The six
+    around its grid extremum (targets that share a bracket share its
+    values), the interpolant's maximum is located, and G is evaluated
+    there.  Every stage is one eval_I_grid batch.  The six
     extremal values are t-independent; the reported location arg_sup_re
     scales with the query t.
     """
@@ -98,15 +99,17 @@ def overshoot(n, sigma=1.0, t=1.0):
     best = [int(np.argmax(f(vals))) for f in targets.values()]
     brackets = [(ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]) for i in best]
 
-    def in_bracket(k, x):   # [-1, 1] -> bracket k
-        lo, hi = brackets[k]
+    def in_bracket(bracket, x):   # [-1, 1] -> bracket
+        lo, hi = bracket
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
+    # targets often share a grid extremum: each bracket is evaluated once
+    distinct = list(dict.fromkeys(brackets))
     cheb = clenshaw_curtis_rule(CHEB_POINTS - 1)[0]
-    near = profile(np.concatenate([in_bracket(k, cheb) for k in range(len(targets))]))
-    near = near.reshape(len(targets), CHEB_POINTS)
-    xs = np.array([in_bracket(k, _cheb_argmax(f(g)))
-                   for k, (f, g) in enumerate(zip(targets.values(), near))])
+    near = profile(np.concatenate([in_bracket(b, cheb) for b in distinct]))
+    near = near.reshape(len(distinct), CHEB_POINTS)[[distinct.index(b) for b in brackets]]
+    xs = np.array([in_bracket(b, _cheb_argmax(f(g)))
+                   for b, f, g in zip(brackets, targets.values(), near)])
     at = profile(xs)
 
     out = {}

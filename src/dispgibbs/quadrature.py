@@ -95,12 +95,13 @@ def integrate_segment(f, start, end, order):
     half = 0.5 * (end - start)
     z = mid[:, None] + half[:, None] * nodes if per_row else mid + half * nodes
     fz = np.ascontiguousarray(f(z), dtype=complex)
-    if not np.isfinite(fz).all():
+    fmax = np.abs(fz).max(axis=-1)
+    if not np.isfinite(fmax).all():   # max|f| is finite only when every value is
         raise NonFinite(f"integrand not finite on segment {start} -> {end}")
     # real weights times the (re, im) pairs: complex-matrix @ real-vector
     # takes a slow path in numpy, milliseconds for a few hundred rows
     est = np.matmul(weights, fz.view(float).reshape(fz.shape + (2,)))
-    return half * est.view(complex)[..., 0], np.abs(fz).max(axis=-1)
+    return half * est.view(complex)[..., 0], fmax
 
 
 class _Nested:

@@ -168,3 +168,23 @@ def test_batched_work_goes_through_the_module_hooks(monkeypatch):
     assert sums == contours
     segments = {(sg.start, sg.end) for c in contours for sg in c.segments}
     assert set(rules) == segments
+
+
+def test_overshoot_evaluates_each_shared_bracket_once(monkeypatch):
+    # the six targets of the real, positive G_3 share grid extrema (sup |G|^2
+    # with sup Re G, inf |G|^2 with inf Re G): each shared bracket's
+    # Chebyshev points are evaluated once
+    from dispgibbs import gibbs
+    sizes = []
+    grid = gibbs.eval_I_grid
+
+    def counted(omega, m, ys, t, *args, **kwargs):
+        sizes.append(len(ys))
+        return grid(omega, m, ys, t, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "eval_I_grid", counted)
+    rep = overshoot(3)
+    assert sizes[1] % gibbs.CHEB_POINTS == 0
+    assert sizes[1] < 6 * gibbs.CHEB_POINTS
+    assert sizes[2] == 6
+    assert rep.sup_abs == rep.sup_re and rep.inf_abs == rep.inf_re
