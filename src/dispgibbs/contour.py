@@ -234,15 +234,19 @@ def _phase_knots(omega, s, rho, lo, hi, pieces):
 
 
 def _ray_breaks(omega, s, logmag, anchor, theta):
-    """Truncation-ray split radii [0, ..., L] bounded by the phase budget.
+    """Truncation-ray split radii [0, ..., L] bounded by the phase budget,
+    or [0] (no ray) when the anchor has already dropped TAIL_DROP.
 
     The first march step is scaled to the local decay rate (for steep
     symbols the ray dies within a sliver, and a unit step would hand the
     quadrature thousands of radians).
     """
+    start = logmag(anchor)
+    if start <= -TAIL_DROP:
+        return [0.0]
     e = cmath.exp(1j * theta)
     probe = 1e-3
-    rate = (logmag(anchor) - logmag(anchor + probe * e)) / probe
+    rate = (start - logmag(anchor + probe * e)) / probe
     step0 = min(1.0, max(1e-6, TAIL_DROP / max(rate, 1.0)))
     L = _march_out(logmag, anchor, theta, step0)
     return _phase_knots(omega, s, abs(anchor), 0.0, L, 2)

@@ -4,13 +4,15 @@ The integrands we care about (exp of a polynomial phase, divided by a power
 of iz) are analytic along every contour the package builds, so spectral
 convergence of Clenshaw-Curtis on each affine segment is the cheapest route
 to 1e-10..1e-12 accuracy.  Each segment doubles its own rule order until
-two successive estimates agree.  The segments of one contour climb their
-ladders together when the integrand is elementwise, so that one rule call
-serves every segment at the same order (numpy's fixed cost per call is
-tens of microseconds, more than a rule of 33..129 nodes costs to apply).
-A batch of integrands (a grid) climbs one segment at a time instead, and
-there each doubling evaluates only the new nodes: the nodes of order 2N at
-even indices are those of order N, bit for bit.
+two successive estimates agree.  The nodes of order 2N at even indices are
+those of order N, bit for bit, which serves twice: a segment's first rule,
+of order N, also gives the estimate of order N/2, so a segment that is
+already resolved settles after one rule; and a batch of integrands (a
+grid), which climbs one segment at a time, evaluates only the new nodes
+at each doubling.  The segments of one contour climb their ladders
+together when the integrand is elementwise, so that one rule call serves
+every segment at the same order (numpy's fixed cost per call is tens of
+microseconds, more than a rule of 33..129 nodes costs to apply).
 """
 
 from dataclasses import dataclass
@@ -75,6 +77,22 @@ def clenshaw_curtis_rule(order):
     return nodes, weights
 
 
+def _endpoints(start, end):
+    """start and end as complex numbers, or as complex arrays when they are
+    tuples (one segment per row)."""
+    if isinstance(start, tuple):
+        return np.array(start, dtype=complex), np.array(end, dtype=complex)
+    return complex(start), complex(end)
+
+
+def _rule_sum(weights, fz):
+    """sum_k weights[k] fz[..., k], one value per row of fz (contiguous)."""
+    # real weights times the (re, im) pairs: complex-matrix @ real-vector
+    # takes a slow path in numpy, milliseconds for a few hundred rows
+    est = np.matmul(weights, fz.view(float).reshape(fz.shape + (2,)))
+    return est.view(complex)[..., 0]
+
+
 def integrate_segment(f, start, end, order):
     """Fixed-order rule applied to one affine segment start -> end.
 
@@ -87,10 +105,7 @@ def integrate_segment(f, start, end, order):
     """
     nodes, weights = clenshaw_curtis_rule(order)
     per_row = isinstance(start, tuple)
-    if per_row:
-        start, end = np.array(start, dtype=complex), np.array(end, dtype=complex)
-    else:
-        start, end = complex(start), complex(end)
+    start, end = _endpoints(start, end)
     mid = 0.5 * (start + end)
     half = 0.5 * (end - start)
     z = mid[:, None] + half[:, None] * nodes if per_row else mid + half * nodes
@@ -98,18 +113,26 @@ def integrate_segment(f, start, end, order):
     fmax = np.abs(fz).max(axis=-1)
     if not np.isfinite(fmax).all():   # max|f| is finite only when every value is
         raise NonFinite(f"integrand not finite on segment {start} -> {end}")
-    # real weights times the (re, im) pairs: complex-matrix @ real-vector
-    # takes a slow path in numpy, milliseconds for a few hundred rows
-    est = np.matmul(weights, fz.view(float).reshape(fz.shape + (2,)))
-    return half * est.view(complex)[..., 0], fmax
+    return half * _rule_sum(weights, fz), fmax
+
+
+def _embedded(fz, start, end, order):
+    """The estimate of the rule of half the order on start -> end, from the
+    node values fz of the rule of this order: the nodes of order/2 are the
+    even-indexed nodes of order, bit for bit, so this is the estimate of
+    integrate_segment(f, start, end, order // 2), bit for bit."""
+    start, end = _endpoints(start, end)
+    weights = clenshaw_curtis_rule(order // 2)[1]
+    return 0.5 * (end - start) * _rule_sum(weights, np.ascontiguousarray(fz[..., ::2]))
 
 
 class _Nested:
     """The integrand f on one segment, keeping the node values of its last
-    rule: when the next rule has twice the order, its even-indexed nodes
-    are the last rule's nodes, bit for bit, so only the odd-indexed ones go
-    to f.  f must treat the nodes (its last axis) independently and return
-    a new array on every call."""
+    rule (from which a first rule's half-order estimate is taken): when the
+    next rule has twice the order, its even-indexed nodes are the last
+    rule's nodes, bit for bit, so only the odd-indexed ones go to f.  f
+    must treat the nodes (its last axis) independently and return a new
+    array on every call."""
 
     __slots__ = ("f", "last")
 
@@ -134,7 +157,9 @@ class _Nested:
 class _Ladder:
     """One segment's refinement to the tolerance tol: its current order, its
     last estimates and, once decided, whether it settled or the error it
-    raises (NoConvergence past max_order, or NonFinite)."""
+    raises (NoConvergence past max_order, or NonFinite).  Its first rule,
+    of order N, may bring the estimate of order N/2 along (see take): the
+    ladder then runs as if it had started at N/2, one rule call fewer."""
 
     __slots__ = ("seg", "tol", "max_order", "order", "seglen", "val", "prev", "dprev",
                  "done", "error")
@@ -157,9 +182,14 @@ class _Ladder:
                 f"segment {self.seg.start} -> {self.seg.end} did not converge "
                 f"by order {self.max_order}", last=self.val, previous=self.prev)
 
-    def take(self, val, fmax):
+    def take(self, val, fmax, half=None):
         """Record the estimate at the current order; the segment is done once
-        two successive estimates agree, else it moves up to twice the order."""
+        two successive estimates agree, else it moves up to twice the order.
+        half, given with the segment's first rule, is the estimate of half
+        the order that the rule's even-indexed nodes make: it comes first,
+        as if the ladder had started at half the order."""
+        if self.val is None:
+            self.val = half
         self.prev, self.val = self.val, val
         if self.prev is not None:
             # relative test, with a floor tied to the integrand scale so that
@@ -186,30 +216,34 @@ def _refine(f, group):
     """Apply one rule, at the order the segments of group are at, to each of
     them: to a lone segment with its own endpoints, to two or more (whose
     integrand is elementwise) in one call with a row per segment.  A
-    segment whose rule is not finite records NonFinite, and the segments
-    after it in the group are left as they were."""
+    segment taking its first rule also takes the estimate of half the order
+    from the rule's even-indexed nodes, when that order is even and at
+    least 8.  A segment whose rule is not finite records NonFinite, and the
+    segments after it in the group are left as they were."""
     order = group[0].order
+    keeper = f if isinstance(f, _Nested) else _Nested(f)   # holds the node values
     if len(group) == 1:
-        (ladder,) = group
-        try:
-            est, fmax = integrate_segment(f, ladder.seg.start, ladder.seg.end, order)
-        except NonFinite as exc:
-            ladder.error = exc
-        else:
-            ladder.take(est, fmax)
-        return
+        start, end = group[0].seg.start, group[0].seg.end
+    else:
+        start, end = tuple(g.seg.start for g in group), tuple(g.seg.end for g in group)
     try:
-        est, fmax = integrate_segment(f, tuple(g.seg.start for g in group),
-                                      tuple(g.seg.end for g in group), order)
-    except NonFinite:
+        est, fmax = integrate_segment(keeper, start, end, order)
+    except NonFinite as exc:
+        if len(group) == 1:
+            group[0].error = exc
+            return
         # find the failing segment, and name its endpoints, one at a time
         for ladder in group:
             _refine(f, [ladder])
             if ladder.error is not None:
                 break
         return
-    for ladder, val, top in zip(group, est.tolist(), fmax.tolist()):
-        ladder.take(val, top)
+    unpack = (lambda v: v.tolist()) if len(group) > 1 else (lambda v: [v])
+    halves = [None] * len(group)
+    if order % 4 == 0 and order >= 16 and any(g.val is None for g in group):
+        halves = unpack(_embedded(keeper.last, start, end, order))
+    for ladder, val, top, half in zip(group, unpack(est), unpack(fmax), halves):
+        ladder.take(val, top, half)
 
 
 def _lockstep(f, ladders):
@@ -244,11 +278,15 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     hashable for whoever wraps integrate_segment).
 
     Every segment climbs its own ladder of doubling orders until two
-    successive estimates agree.  When f is elementwise, as the first rule
-    (on the first segment alone) shows, the segments climb in lockstep:
-    each round applies the lowest order a live segment is at, in one
-    integrate_segment call with a row per segment at that order (more
-    calls only past NODE_CAP node values).  A batch of integrands refines
+    successive estimates agree.  Its first rule, of order N, counts twice
+    when N/2 is even and at least 8: its even-indexed nodes make the rule
+    of order N/2, whose estimate comes first, so one rule settles a
+    segment whose estimates of orders N/2 and N agree, with the values
+    (bit for bit) of a ladder that starts at N/2.  When f is elementwise,
+    as the first rule (on the first segment alone) shows, the segments
+    climb in lockstep: each round applies the lowest order a live segment
+    is at, in one integrate_segment call with a row per segment at that
+    order (more calls only past NODE_CAP node values).  A batch of integrands refines
     one segment at a time, as its rule already carries every point, and
     each doubling evaluates f only on the nodes the last rule did not have
     (f must treat its nodes independently).  The lockstep rounds evaluate

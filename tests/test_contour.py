@@ -436,3 +436,33 @@ def test_tail_march_evaluations_stay_few(build, monkeypatch):
     build()
     assert marches
     assert max(len(vals) for vals, _ in marches) <= 20
+
+
+def test_direct_side_already_below_the_drop_gets_no_ray(monkeypatch):
+    # a draw whose bend points sit about 311 e-folds below the drop: each
+    # side ends there, after one logmag evaluation, where its march took 61
+    om = normalize({9: -0.7041283406966755, 6: 0.10023076338598298 - 0.025697607200356996j,
+                    2: 520.8379198165233 - 2954.9650691679967j})
+    can, s, _, _ = _canonical(om, 1.0766437849014334, 0.005256192527128444)
+    sides = []
+    ray_breaks = contour._ray_breaks
+
+    def counted(omega, s, logmag, anchor, theta):
+        levels = []
+
+        def counting(z):
+            levels.append(logmag(z))
+            return levels[-1]
+
+        radii = ray_breaks(omega, s, counting, anchor, theta)
+        sides.append((anchor, levels, radii))
+        return radii
+
+    monkeypatch.setattr(contour, "_ray_breaks", counted)
+    cont = direct_contour(can, 2, s)
+    assert [anchor.real > 0 for anchor, _, _ in sides] == [False, True]
+    for anchor, levels, radii in sides:
+        assert len(levels) == 1 and levels[0] <= -TAIL_DROP
+        assert radii == [0.0]
+    assert (cont.segments[0].start, cont.segments[-1].end) == tuple(a for a, _, _ in sides)
+    assert _connected(cont)

@@ -3,11 +3,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from dispgibbs import (Contour, NoConvergence, NonFinite, Segment,
                        clenshaw_curtis_rule, eval_I, eval_I_grid,
-                       integrate_contour, integrate_segment, quadrature,
-                       special)
+                       integrate_contour, integrate_segment, overshoot_table,
+                       quadrature, special)
+from dispgibbs.cli import main
 
 
 def test_rule_order2_is_simpson():
@@ -139,10 +141,13 @@ def test_batched_rows_each_converge():
 
 def _reference_orders(rule, f, seg, tol=quadrature.TOL, max_order=quadrature.MAX_ORDER):
     """The orders a segment-by-segment loop applies to seg, every rule
-    evaluating f on all its nodes: from its own order (at least 8, even),
-    doubling until two estimates agree.  Returns them and the last estimate."""
+    evaluating f on all its nodes: from half its own order (its own order at
+    least 8, even, and a multiple of 4 from 16 on), doubling until two
+    estimates agree.  Returns them and the last estimate."""
     order = max(8, seg.order)
     order += order % 2
+    assert order % 4 == 0 and order >= 16
+    order //= 2
     seglen = np.abs(np.subtract(seg.end, seg.start))
     orders, val, dprev = [], None, None
     while order <= max_order:
@@ -204,17 +209,19 @@ def _ladders_seen(monkeypatch, evaluate):
 @pytest.mark.parametrize("evaluate, grouped", [
     (lambda: eval_I({3: 1}, 0, 0.5, 1.0), True),
     (lambda: eval_I({4: -1j, 3: 0.5, 2: 0.3}, 1, 0.5, 1.0), True),
-    (lambda: eval_I({3: 1}, 0, 12.0, 1.0), True),
+    (lambda: eval_I({5: 1}, 0, 12.0, 1.0), True),
     (lambda: eval_I_grid({3: 1}, 0, np.linspace(-2.0, 2.0, 9), 1.0), False),
     (lambda: eval_I_grid({4: -1j, 3: 0.5}, 1, np.linspace(-9.0, 9.0, 7), 1.0,
                          method="auto"), False),
 ], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "grid-rows", "grid-rows-auto"])
 def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, grouped):
     # each segment meets exactly the orders a segment-by-segment loop gives
-    # it, and the contour's value is that loop's sum, bit for bit; only an
-    # elementwise integrand shares rules between segments, and only a grid
-    # (refined segment by segment) evaluates each node of a segment once:
-    # its doubled rule evaluates just the nodes at odd indices
+    # it from half its own order, but the first: the segment's first rule
+    # carries that estimate on its even-indexed nodes.  The contour's value
+    # is that loop's sum, bit for bit; only an elementwise integrand shares
+    # rules between segments, and only a grid (refined segment by segment)
+    # evaluates each node of a segment once: its doubled rule evaluates
+    # just the nodes at odd indices
     per_call, integrals = _ladders_seen(monkeypatch, evaluate)
     assert integrals
     for seen in integrals:
@@ -222,7 +229,7 @@ def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, group
         assert len(segments) > 1
         reference = {(sg.start, sg.end): _reference_orders(integrate_segment, seen["f"], sg)
                      for sg in segments}
-        assert seen["orders"] == {pair: orders for pair, (orders, _) in reference.items()}
+        assert seen["orders"] == {pair: orders[1:] for pair, (orders, _) in reference.items()}
         total = 0j
         for _, val in reference.values():
             total += val
@@ -234,6 +241,54 @@ def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, group
                      for pair, orders in seen["orders"].items()}
         assert seen["columns"] == nodes
     assert (max(per_call) > 1) == grouped
+
+
+@pytest.mark.parametrize("order", [16, 48, 128])
+def test_embedded_estimate_is_the_half_order_rule(order):
+    # the rule of order N holds, on its even-indexed nodes, the estimate of
+    # order N/2 bit for bit: for scalar endpoints, a row per segment (tuple
+    # endpoints) and a row per point of a batch
+    k = np.array([1.0, 7.5, 30.0])
+    cases = [
+        (lambda z: np.exp(3j * z) / (z + 2.0), 0.1 - 0.2j, 1.3 + 0.4j),
+        (lambda z: np.exp(3j * z) / (z + 2.0), (0.1 - 0.2j, -1.0 + 0j, 2.0j),
+         (1.3 + 0.4j, -0.5 + 0.25j, 0.5 + 2.0j)),
+        (lambda z: np.exp(1j * k[:, None] * z), -1.0 + 0j, 0.5 + 0.5j),
+    ]
+    for f, start, end in cases:
+        keeper = quadrature._Nested(f)
+        integrate_segment(keeper, start, end, order)
+        got = quadrature._embedded(keeper.last, start, end, order)
+        want = integrate_segment(f, start, end, order // 2)[0]
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _rule_calls(monkeypatch, evaluate):
+    """The number of integrate_segment calls that evaluate() makes."""
+    calls = []
+    rule = quadrature.integrate_segment
+
+    def counted(f, start, end, order):
+        calls.append(order)
+        return rule(f, start, end, order)
+
+    monkeypatch.setattr(quadrature, "integrate_segment", counted)
+    evaluate()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_one_rule_settles_a_resolved_segment(monkeypatch):
+    # perfbench's solve and gibbs ops take 136 and 152 rule calls; a ladder
+    # that confirms every segment's first rule with a second takes 252 each
+    def solve_op():
+        result = CliRunner().invoke(main, ["solve", "--omega", "3:1", "--ic", "smoothed-box:0.1",
+                                           "--t", "1e-3,1e-1", "--x-grid", "-2:2:401"])
+        assert result.exit_code == 0, result.output
+
+    assert _rule_calls(monkeypatch, solve_op) <= 140
+    assert _rule_calls(monkeypatch, lambda: overshoot_table([3, 5, 9])) <= 160
 
 
 def _three_segments(*order):
