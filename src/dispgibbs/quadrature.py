@@ -221,28 +221,30 @@ def _refine(f, group):
     least 8.  A segment whose rule is not finite records NonFinite, and the
     segments after it in the group are left as they were."""
     order = group[0].order
-    keeper = f if isinstance(f, _Nested) else _Nested(f)   # holds the node values
+    embed = order % 4 == 0 and order >= 16 and any(g.val is None for g in group)
+    keeper = _Nested(f) if embed and not isinstance(f, _Nested) else f   # holds the node values
     if len(group) == 1:
-        start, end = group[0].seg.start, group[0].seg.end
-    else:
-        start, end = tuple(g.seg.start for g in group), tuple(g.seg.end for g in group)
+        (ladder,) = group
+        start, end = ladder.seg.start, ladder.seg.end
+        try:
+            est, fmax = integrate_segment(keeper, start, end, order)
+        except NonFinite as exc:
+            ladder.error = exc
+        else:
+            ladder.take(est, fmax, _embedded(keeper.last, start, end, order) if embed else None)
+        return
+    start, end = tuple(g.seg.start for g in group), tuple(g.seg.end for g in group)
     try:
         est, fmax = integrate_segment(keeper, start, end, order)
-    except NonFinite as exc:
-        if len(group) == 1:
-            group[0].error = exc
-            return
+    except NonFinite:
         # find the failing segment, and name its endpoints, one at a time
         for ladder in group:
             _refine(f, [ladder])
             if ladder.error is not None:
                 break
         return
-    unpack = (lambda v: v.tolist()) if len(group) > 1 else (lambda v: [v])
-    halves = [None] * len(group)
-    if order % 4 == 0 and order >= 16 and any(g.val is None for g in group):
-        halves = unpack(_embedded(keeper.last, start, end, order))
-    for ladder, val, top, half in zip(group, unpack(est), unpack(fmax), halves):
+    halves = _embedded(keeper.last, start, end, order).tolist() if embed else [None] * len(group)
+    for ladder, val, top, half in zip(group, est.tolist(), fmax.tolist(), halves):
         ladder.take(val, top, half)
 
 

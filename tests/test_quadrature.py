@@ -206,22 +206,25 @@ def _ladders_seen(monkeypatch, evaluate):
     return segments, integrals
 
 
-@pytest.mark.parametrize("evaluate, grouped", [
-    (lambda: eval_I({3: 1}, 0, 0.5, 1.0), True),
-    (lambda: eval_I({4: -1j, 3: 0.5, 2: 0.3}, 1, 0.5, 1.0), True),
-    (lambda: eval_I({5: 1}, 0, 12.0, 1.0), True),
-    (lambda: eval_I_grid({3: 1}, 0, np.linspace(-2.0, 2.0, 9), 1.0), False),
+@pytest.mark.parametrize("evaluate, shared, reuse", [
+    (lambda: eval_I({3: 1}, 0, 0.5, 1.0), True, False),
+    (lambda: eval_I({4: -1j, 3: 0.5, 2: 0.3}, 1, 0.5, 1.0), True, False),
+    (lambda: eval_I({3: 1}, 0, 12.0, 1.0), False, False),
+    (lambda: eval_I({5: 1}, 0, 12.0, 1.0), True, False),
+    (lambda: eval_I_grid({3: 1}, 0, np.linspace(-2.0, 2.0, 9), 1.0), False, True),
     (lambda: eval_I_grid({4: -1j, 3: 0.5}, 1, np.linspace(-9.0, 9.0, 7), 1.0,
-                         method="auto"), False),
-], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "grid-rows", "grid-rows-auto"])
-def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, grouped):
+                         method="auto"), False, True),
+], ids=["lone-direct", "lone-direct-mixed", "lone-descent", "lone-descent-shared",
+        "grid-rows", "grid-rows-auto"])
+def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, shared, reuse):
     # each segment meets exactly the orders a segment-by-segment loop gives
     # it from half its own order, but the first: the segment's first rule
     # carries that estimate on its even-indexed nodes.  The contour's value
-    # is that loop's sum, bit for bit; only an elementwise integrand shares
-    # rules between segments, and only a grid (refined segment by segment)
-    # evaluates each node of a segment once: its doubled rule evaluates
-    # just the nodes at odd indices
+    # is that loop's sum, bit for bit.  Only an elementwise integrand shares
+    # rules between segments (none in k^3's descent at s = 12: after the
+    # first segment's lone rule, no two live segments are at one order),
+    # and only a grid (refined segment by segment) evaluates each node of a
+    # segment once: its doubled rule evaluates just the nodes at odd indices
     per_call, integrals = _ladders_seen(monkeypatch, evaluate)
     assert integrals
     for seen in integrals:
@@ -234,13 +237,13 @@ def test_lockstep_keeps_every_segments_order_ladder(monkeypatch, evaluate, group
         for _, val in reference.values():
             total += val
         assert np.asarray(seen["value"]).tobytes() == np.asarray(total).tobytes()
-        if grouped:
-            nodes = {pair: sum(o + 1 for o in orders) for pair, orders in seen["orders"].items()}
-        else:
+        if reuse:
             nodes = {pair: orders[0] + 1 + sum(o // 2 for o in orders[1:])
                      for pair, orders in seen["orders"].items()}
+        else:
+            nodes = {pair: sum(o + 1 for o in orders) for pair, orders in seen["orders"].items()}
         assert seen["columns"] == nodes
-    assert (max(per_call) > 1) == grouped
+    assert (max(per_call) > 1) == shared
 
 
 @pytest.mark.parametrize("order", [16, 48, 128])
