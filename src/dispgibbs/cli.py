@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 a verify check failed, 2 argument/validation
 problems (every ValueError), 3 numerical failures (non-convergent
 quadrature, a non-finite integrand, degenerate saddle geometry), with the
 failing query echoed on stderr; _failures maps them in one place.
+
+Each grid runs on one thread.  Only the times of one `solve` run side by
+side, one worker per core; their rows and exit code are those of taking
+the times one after another in --t order.
 """
 
 import json
@@ -158,11 +162,23 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
     if not ts or any(t < 0 or not math.isfinite(t) for t in ts):
         raise click.UsageError("--t needs finite times >= 0")
 
+    # the times share nothing, and numpy releases the GIL inside its ufuncs,
+    # so they run side by side; the results are read in --t order, so the
+    # first failing time in the list decides the exit.  Imported here:
+    # concurrent.futures takes about 10 ms to import, which every other
+    # command would pay
+    from concurrent.futures import ThreadPoolExecutor
+
     rows = []
-    for t in ts:
-        with _failures(f"solve --omega {omega} --ic {ic} --t {t} --x-grid {xgrid}"):
-            vals = solve(data, om, xs, t)
-        rows += [(t, x, v.real, v.imag) for x, v in zip(xs, vals)]
+    pool = ThreadPoolExecutor(min(len(ts), os.cpu_count() or 1))
+    try:
+        futures = [pool.submit(solve, data, om, xs, t) for t in ts]
+        for t, future in zip(ts, futures):
+            with _failures(f"solve --omega {omega} --ic {ic} --t {t} --x-grid {xgrid}"):
+                vals = future.result()
+            rows += [(t, x, v.real, v.imag) for x, v in zip(xs, vals)]
+    finally:
+        pool.shutdown(cancel_futures=True)
     _emit(_table(("t", "x", "re", "im"), rows, fmt), output)
 
 

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from dispgibbs import eval_I, eval_I_grid, normalize, overshoot, solve, tent
+from dispgibbs import cli
 from dispgibbs.cli import GIBBS_COLUMNS, main
 
 HEAT = normalize({2: -1j})
@@ -198,12 +204,79 @@ def test_verify_all_suites():
 
 
 def test_thread_count_does_not_change_bytes():
-    args = ("solve", "--omega", "2:1", "--ic", "box", "--t", "0.05",
+    args = ("solve", "--omega", "2:1", "--ic", "box", "--t", "0.05,0.2",
             "--x-grid", "-3:3:25")
     one = run(*args, env={"DISPGIBBS_THREADS": "1"})
     four = run(*args, env={"DISPGIBBS_THREADS": "4"})
     assert one.exit_code == 0 and four.exit_code == 0
     assert one.output == four.output
+
+
+def _later_time_first(monkeypatch, first):
+    """Hold the call for time `first` until a later time's call has
+    returned, on two workers whatever the machine, so that the later time
+    finishes (or fails) sooner.  Returns the list that records, for each
+    hold, whether a later time released it."""
+    released, later_done, real = [], threading.Event(), cli.solve
+
+    def solve(data, om, xs, t):
+        if t != first:
+            try:
+                return real(data, om, xs, t)
+            finally:
+                later_done.set()
+        released.append(later_done.wait(timeout=10))
+        return real(data, om, xs, t)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return released
+
+
+def test_solve_prints_the_times_in_order(monkeypatch):
+    # the bytes are those of one call per time, in --t order, although the
+    # second time finishes first
+    grid = ("--omega", "2:1", "--ic", "box", "--x-grid", "-3:3:25")
+    first = run("solve", *grid, "--t", "0.05")
+    second = run("solve", *grid, "--t", "0.2")
+    released = _later_time_first(monkeypatch, 0.05)
+    both = run("solve", *grid, "--t", "0.05,0.2")
+    assert released == [True]
+    assert both.exit_code == first.exit_code == second.exit_code == 0
+    rows = second.output.split("\n", 1)[1]
+    assert both.output == first.output + rows
+
+
+@pytest.mark.parametrize("times, code, failing", [
+    ("1,0", 3, "--t 1.0 "),     # the direct-contour cap
+    ("0,1", 2, None),           # I_m(0, 0) is undefined
+    ("0.05,0.2", 3, "--t 0.05 "),
+])
+def test_solve_first_failing_time_in_the_list_decides(monkeypatch, times, code, failing):
+    # the second time fails first; the first time in the list still decides
+    released = _later_time_first(monkeypatch, float(times.split(",")[0]))
+    threads = threading.active_count()
+    r = run("solve", "--omega", "9:1,7:27.1", "--ic", "box", "--t", times,
+            "--x-grid", "-1:1:3")
+    assert released == [True]
+    assert threading.active_count() == threads    # no worker outlives the command
+    assert r.exit_code == code
+    assert r.stdout == ""
+    if failing is None:
+        assert "I_m(0, 0) is undefined" in r.stderr
+        assert "failing query" not in r.stderr
+    else:
+        assert f"failing query: solve --omega 9:1,7:27.1 --ic box {failing}" in r.stderr
+        assert r.stderr.count("failing query") == 1
+
+
+def test_importing_the_cli_does_not_import_the_pool():
+    # concurrent.futures takes about 10 ms to import; only `solve` pays it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, dispgibbs.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_contour_dump_prints_the_contours_eval_I_integrates():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -239,3 +241,34 @@ def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
     assert 0 < calls["descent_batches"] <= jumps
     assert calls["integrate_contour"] <= sum(saddles) + calls["direct_contour"]
     assert set(rules) == {(sg.start, sg.end) for c in contours for sg in c.segments}
+
+
+def test_concurrent_solves_match_serial_solves():
+    # the CLI runs the times of one solve on threads; at both times the
+    # grid takes the descent and the direct route, through the shared
+    # Clenshaw-Curtis rule cache and numpy's per-context error state.
+    # Each time runs twice, so there are more threads than on a 2-core
+    # machine, and a short switch interval makes them interleave often
+    ic, xs = smoothed_box(0.1), np.linspace(-2.0, 2.0, 41)
+    ts = (1e-3, 0.1) * 2
+    serial = [solve(ic, {3: 1}, xs, t) for t in ts]
+    start = threading.Barrier(len(ts))
+    results = [None] * len(ts)
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = solve(ic, {3: 1}, xs, ts[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(ts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
