@@ -12,14 +12,15 @@ quadrature, a non-finite integrand, degenerate saddle geometry), with the
 failing query echoed on stderr; _failures maps them in one place.
 
 Each grid runs on one thread.  Only the times of one `solve` run side by
-side, one worker per core; their rows and exit code are those of taking
-the times one after another in --t order.
+side, at most one per CPU the process may use; their rows and exit code
+are those of taking the times one after another in --t order.
 """
 
 import json
 import math
 import os
 import sys
+import threading
 from contextlib import contextmanager
 
 import click
@@ -100,6 +101,36 @@ def _table(header, rows, fmt):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Call(threading.Thread):
+    """fn(*args) on its own thread; result() waits for it and returns its
+    value or raises its exception in the caller's thread."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        self._fn, self._fn_args = fn, args
+        self._value = self._error = None
+
+    def run(self):
+        try:
+            self._value = self._fn(*self._fn_args)
+        except BaseException as exc:
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 @contextmanager
 def _failures(query):
     """The one map from failure to exit code: a numerical failure exits 3
@@ -163,22 +194,27 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
         raise click.UsageError("--t needs finite times >= 0")
 
     # the times share nothing, and numpy releases the GIL inside its ufuncs,
-    # so they run side by side; the results are read in --t order, so the
-    # first failing time in the list decides the exit.  Imported here:
-    # concurrent.futures takes about 10 ms to import, which every other
-    # command would pay
-    from concurrent.futures import ThreadPoolExecutor
-
+    # so up to one time per usable CPU runs at once, each on its own thread.
+    # The results are read in --t order, so the first failing time in the
+    # list decides the exit.  A time starts only once the time `workers`
+    # places before it has been read, so a failure or Ctrl-C waits for at
+    # most workers - 1 running times and starts none
+    calls = [_Call(solve, data, om, xs, t) for t in ts]
+    workers = min(len(ts), _usable_cpus())
+    for call in calls[:workers]:
+        call.start()
     rows = []
-    pool = ThreadPoolExecutor(min(len(ts), os.cpu_count() or 1))
     try:
-        futures = [pool.submit(solve, data, om, xs, t) for t in ts]
-        for t, future in zip(ts, futures):
+        for i, (t, call) in enumerate(zip(ts, calls)):
             with _failures(f"solve --omega {omega} --ic {ic} --t {t} --x-grid {xgrid}"):
-                vals = future.result()
+                vals = call.result()
+            if i + workers < len(calls):
+                calls[i + workers].start()
             rows += [(t, x, v.real, v.imag) for x, v in zip(xs, vals)]
     finally:
-        pool.shutdown(cancel_futures=True)
+        for call in calls:
+            if call.is_alive():
+                call.join()
     _emit(_table(("t", "x", "re", "im"), rows, fmt), output)
 
 

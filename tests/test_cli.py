@@ -229,7 +229,7 @@ def _later_time_first(monkeypatch, first):
         return real(data, om, xs, t)
 
     monkeypatch.setattr(cli, "solve", solve)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return released
 
 
@@ -270,13 +270,43 @@ def test_solve_first_failing_time_in_the_list_decides(monkeypatch, times, code, 
         assert r.stderr.count("failing query") == 1
 
 
-def test_importing_the_cli_does_not_import_the_pool():
-    # concurrent.futures takes about 10 ms to import; only `solve` pays it
+def test_a_failing_time_starts_no_later_time(monkeypatch):
+    # on two workers the first two times start at once; the first fails,
+    # so the command waits for the second alone and never starts the third
+    started, real = [], cli.solve
+
+    def solve(data, om, xs, t):
+        started.append(t)
+        return real(data, om, xs, t)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    r = run("solve", "--omega", "9:1,7:27.1", "--ic", "box", "--t", "0,0.05,0.2",
+            "--x-grid", "-1:1:3")
+    assert r.exit_code == 2
+    assert sorted(started) == [0.0, 0.05]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_workers_follow_the_affinity_mask_not_the_host(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._usable_cpus() == 1
+
+
+def test_a_solve_does_not_import_concurrent_futures():
+    # concurrent.futures takes about 6 ms to import, most of it logging,
+    # which every one-time solve would pay for no gain
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, dispgibbs.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys\nfrom dispgibbs.cli import main\n"
+            "main(['solve', '--omega', '2:1', '--ic', 'box', '--t', '0.05,0.2',"
+            " '--x-grid', '-1:1:3'], standalone_mode=False)\n"
+            "print('concurrent.futures' in sys.modules, file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stderr.strip() == "False"
 
 
 def test_contour_dump_prints_the_contours_eval_I_integrates():
