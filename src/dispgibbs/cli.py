@@ -7,7 +7,8 @@ and verify (self-check suites).  Output is CSV/JSON/markdown written to
 stdout or a file; identical invocations produce byte-identical bytes.
 
 Exit codes: 0 success, 1 a verify check failed, 2 argument/validation
-problems (every ValueError), 3 numerical failures (non-convergent
+problems (every ValueError, and an IC file or --output path that cannot be
+opened), 3 numerical failures (non-convergent
 quadrature, a non-finite integrand, degenerate saddle geometry), with the
 failing query echoed on stderr; _failures maps them in one place.
 
@@ -31,7 +32,7 @@ from .quadrature import NoConvergence, NonFinite
 from .special import _evaluate, eval_I, eval_I_grid, ode_residual
 from .contour import pole_avoiding_contour
 from .ivp import PiecewisePolynomialIC, box, smoothed_box, solve, tent
-from .gibbs import overshoot_table, wilbraham_gibbs_constant
+from .gibbs import overshoot, overshoot_table, wilbraham_gibbs_constant
 
 NUMERICAL_ERRORS = (NoConvergence, NonFinite, DegeneratePhase)
 
@@ -77,7 +78,7 @@ def _parse_ic(text):
             with open(text) as fh:
                 data = json.load(fh)
             return PiecewisePolynomialIC(data["breakpoints"], data["pieces"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"bad IC file {text!r}: {exc}")
     raise click.UsageError(
         f"--ic must be box, tent, smoothed-box:<delta>, or a JSON file; got {text!r}")
@@ -85,8 +86,11 @@ def _parse_ic(text):
 
 def _emit(text, output):
     if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --output {output!r}: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -298,27 +302,27 @@ def contour_cmd(omega, m, y, t, kind, output):
     _emit(json.dumps(segs, indent=2) + "\n", output)
 
 
+def _cerf(points):
+    """erf at each of points, one point at a time, as 1 - exp(-z^2) w(iz)
+    with w the Faddeeva function."""
+    from scipy.special import wofz
+    return np.array([1.0 - np.exp(-z * z) * wofz(1j * z) for z in map(complex, points)])
+
+
 def _suite_oracles():
-    from scipy.special import airy, wofz
+    from scipy.special import airy
     from .quadrature import integrate_segment
 
-    def cerf(z):
-        z = complex(z)
-        return 1.0 - np.exp(-z * z) * wofz(1j * z)
-
     lines = []
-    ok = True
     s = np.linspace(-10.0, 10.0, 201)
 
     heat = np.array([eval_I({2: -1j}, 0, float(y), 1.0) for y in s])
-    err = np.abs(heat - 0.5 * (np.array([cerf(v / 2) for v in s]) - 1.0)).max()
-    ok &= err < 1e-8
+    err = np.abs(heat - 0.5 * (_cerf(v / 2 for v in s) - 1.0)).max()
     lines.append(("heat vs erf", err, 1e-8))
 
     sch = np.array([eval_I({2: 1.0}, 0, float(y), 1.0) for y in s])
-    ref = 0.5 * (np.array([cerf(np.exp(-1j * np.pi / 4) * v / 2) for v in s]) - 1.0)
+    ref = 0.5 * (_cerf(np.exp(-1j * np.pi / 4) * v / 2 for v in s) - 1.0)
     err = np.abs(sch - ref).max()
-    ok &= err < 1e-8
     lines.append(("schrodinger vs erf", err, 1e-8))
 
     def ai_cdf(v):
@@ -334,9 +338,8 @@ def _suite_oracles():
     stokes = np.array([eval_I({3: -1.0}, 0, float(y), 1.0) for y in s])
     ref = np.array([ai_cdf(v / 3.0 ** (1.0 / 3.0)) - 1.0 for v in s])
     err = np.abs(stokes - ref).max()
-    ok &= err < 1e-6
     lines.append(("stokes vs airy", err, 1e-6))
-    return ok, lines
+    return all(err < tol for _, err, tol in lines), lines
 
 
 def _suite_ode():
@@ -382,30 +385,42 @@ def _suite_limits():
         ("schrodinger left -> -1", {2: 1.0}, -2000.0, -1.0, 1e-3),
     ]
     lines = []
-    ok = True
     for name, om, y, target, tol in checks:
         v = eval_I(om, 0, y, 1.0)
-        err = abs(v - target)
-        ok &= err < tol
-        lines.append((name, err, tol))
-    return ok, lines
+        lines.append((name, abs(v - target), tol))
+    return all(err < tol for _, err, tol in lines), lines
 
 
 def _suite_gibbs():
+    # G_n = I_{k^n,0} + 1 tends to the classical overshoot 1 + g as n grows
     from scipy.special import sici
-    lines = []
     g = wilbraham_gibbs_constant()
-    ref = sici(math.pi)[0] / math.pi - 0.5
-    err = abs(g - ref)
-    ok = err < 1e-12
-    lines.append(("gibbs constant vs Si(pi)", err, 1e-12))
-    reports = overshoot_table([3, 5, 9])
-    dev = [abs(r.sup_re - (1.0 + g)) for r in reports]
-    trend_ok = dev[0] > dev[1] > dev[2]
-    ok &= trend_ok
-    lines.append(("overshoot |sup_re-(1+g)| decreasing over n=3,5,9",
-                  0.0 if trend_ok else 1.0, 0.5))
-    return ok, lines
+    lines = [("gibbs constant vs Si(pi)", abs(g - (sici(math.pi)[0] / math.pi - 0.5)), 1e-12)]
+
+    reports = overshoot_table([3, 5, 9, 17, 33])
+    devs = [abs(r.sup_re - (1.0 + g)) for r in reports]
+    ratio = max(b / a for a, b in zip(devs, devs[1:]))
+    lines.append(("overshoot |sup_re-(1+g)| over n=3,5,9,17,33 = "
+                  f"{', '.join(f'{d:.3e}' for d in devs)}: largest successive ratio",
+                  ratio, 1.0))
+    lines.append(("overshoot |sup_re-(1+g)| at n=33", devs[-1], 0.02))
+    last = reports[-1]
+    lines.append(("|sup_im|, |inf_im| at n=33", max(abs(last.sup_im), abs(last.inf_im)), 0.02))
+
+    # the extrema do not depend on t
+    spread = 0.0
+    for r in reports[:2]:
+        for t in (0.25, 4.0):
+            o = overshoot(r.n, t=t)
+            spread = max(spread, abs(o.sup_re - r.sup_re), abs(o.inf_re - r.inf_re))
+    lines.append(("sup_re, inf_re at n=3,5: spread over t=0.25,1,4", spread, 1e-7))
+
+    # Schrodinger (n = 2): G_2 = (erf(e^{-i pi/4} y/2) + 1)/2, peaked on [0, 10]
+    y = np.linspace(0.0, 10.0, 50001)
+    ref = (_cerf(np.exp(-1j * np.pi / 4) * v / 2 for v in y).real.max() + 1.0) / 2
+    lines.append(("overshoot n=2 sup_re vs Fresnel closed form",
+                  abs(overshoot(2).sup_re - ref), 1e-6))
+    return all(err < tol for _, err, tol in lines), lines
 
 
 SUITES = {

@@ -58,6 +58,7 @@ __all__ = [
 TAIL_DROP = 45.0
 TAIL_SLACK = 1.0        # a tail end may sit this far past the drop (see _march_out)
 ARC_CHORDS = 8
+ARC_ORDER = 32          # initial Clenshaw-Curtis order of each detour chord
 BEND_PAD = 1.3          # direct bend radius over the saddle and dominance radii, at most 1 + 1/n
 PHASE_BUDGET = 120.0    # radians of accumulated-phase bound per direct segment
 MAX_SEGMENTS = 10_000   # pieces one stretch of a direct contour may be split into
@@ -88,22 +89,19 @@ class Contour:
     label: str = ""
 
 
-def _arc(radius, order):
+def _arc(radius):
     """Chords tracing the upper semicircle from -r to +r (above the pole)."""
     angles = np.linspace(np.pi, 0.0, ARC_CHORDS + 1)
     pts = radius * np.exp(1j * angles)
-    return [Segment(complex(a), complex(b), order) for a, b in zip(pts, pts[1:])]
+    return [Segment(complex(a), complex(b), ARC_ORDER) for a, b in zip(pts, pts[1:])]
 
 
-def pole_avoiding_contour(radius=0.5, truncation=40.0, order=64):
-    """Real axis from -T to T with an upper semicircular detour around 0."""
-    if not 0 < radius < 1:
-        raise ValueError("detour radius must satisfy 0 < r < 1")
-    if truncation <= 1:
-        raise ValueError("truncation must exceed 1")
-    segs = [Segment(complex(-truncation), complex(-radius), order)]
-    segs += _arc(radius, max(16, order // 2))
-    segs.append(Segment(complex(radius), complex(truncation), order))
+def pole_avoiding_contour():
+    """Real axis from -40 to 40 with an upper semicircular detour of radius
+    0.5 around 0."""
+    segs = [Segment(complex(-40.0), complex(-0.5))]
+    segs += _arc(0.5)
+    segs.append(Segment(complex(0.5), complex(40.0)))
     return Contour(tuple(segs), label="pole-avoiding")
 
 
@@ -303,7 +301,7 @@ def _arc_radius(omega, s_lo, a):
     return r
 
 
-def direct_contour(omega, m, s_lo, s_hi=None, order=64):
+def direct_contour(omega, m, s_lo, s_hi=None):
     """Pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
 
     omega must already have t folded in (t=1).  Each side ends where the
@@ -360,10 +358,10 @@ def direct_contour(omega, m, s_lo, s_hi=None, order=64):
         paths.append(path)
     left, right = paths
 
-    segs = [Segment(u, v, order) for u, v in zip(left[::-1], left[-2::-1])]
+    segs = [Segment(u, v) for u, v in zip(left[::-1], left[-2::-1])]
     if m >= 0:
-        segs += _arc(radius, max(16, order // 2))
-    segs += [Segment(u, v, order) for u, v in zip(right, right[1:])]
+        segs += _arc(radius)
+    segs += [Segment(u, v) for u, v in zip(right, right[1:])]
     return Contour(tuple(segs), label="direct")
 
 
@@ -371,7 +369,6 @@ def direct_contour(omega, m, s_lo, s_hi=None, order=64):
 class DescentSystem:
     phase: object            # the ScaledPhase driving everything
     points: tuple            # stationary points, counterclockwise
-    angles: tuple            # central segment direction at each point
     contours: tuple          # one three-segment Contour per point
     # (in a system of descent_batches each entry holds one value per row)
 
@@ -414,10 +411,8 @@ def descent_system(phase):
     dirs = decay_directions(n, phase.leading)
 
     contours = []
-    angles = []
     for j, zj in enumerate(pts):
         phi2, th = _saddle_angle(phase, zj)
-        angles.append(th)
         h = JOINT_WIDTH / math.sqrt(X * abs(phi2))
         # keep the joints inside this saddle's own basin: past ~a third of
         # the separation the quadratic model (and the valley bookkeeping)
@@ -455,7 +450,7 @@ def descent_system(phase):
             Segment(p_minus, p_plus, CENTRAL_ORDER),
             Segment(p_plus, q_plus, TAIL_ORDER),
         ), label=f"descent-{j}"))
-    return DescentSystem(phase, tuple(pts), tuple(angles), tuple(contours))
+    return DescentSystem(phase, tuple(pts), tuple(contours))
 
 
 def _march_rows(logmag, anchor, theta, step0):
@@ -550,7 +545,7 @@ def descent_batches(phase, m, guarded):
 
     Returns [(rows, system)], one per saddle count K: rows indexes the
     phase rows that passed, and system's phase holds those rows, points[j]
-    and angles[j] are arrays over them, and contours[j] is saddle j's
+    is an array over them, and contours[j] is saddle j's
     contour, each segment end a tuple with one complex per row (as
     integrate_contour takes a batch).  A row in no group failed a check.
     """
@@ -598,8 +593,8 @@ def _descent_rows(phase, P, m, guarded):
     if not ok.any():
         return ok, None
 
-    X, P, th, h, p_minus, p_plus, ref, fwd, bwd = (
-        v[ok] for v in (X, P, th, h, p_minus, p_plus, ref, fwd, bwd))
+    X, P, h, p_minus, p_plus, ref, fwd, bwd = (
+        v[ok] for v in (X, P, h, p_minus, p_plus, ref, fwd, bwd))
     rows = np.flatnonzero(ok)
     sub = take_rows(phase, rows)
     lref = np.concatenate([ref, ref], axis=1)
@@ -619,13 +614,13 @@ def _descent_rows(phase, P, m, guarded):
     good &= _guards(sub.phi_rows, X, W, P, starts, ends, m, guarded) < 0
     ok[rows] = good
     sub = take_rows(sub, good)
-    P, th, starts, ends = P[good], th[good], starts[good], ends[good]
+    P, starts, ends = P[good], starts[good], ends[good]
     orders = (TAIL_ORDER, CENTRAL_ORDER, TAIL_ORDER)
     contours = tuple(
         Contour(tuple(Segment(tuple(starts[:, j, k].tolist()), tuple(ends[:, j, k].tolist()), o)
                       for k, o in enumerate(orders)), label=f"descent-{j}")
         for j in range(K))
-    return ok, DescentSystem(sub, tuple(P.T), tuple(th.T), contours)
+    return ok, DescentSystem(sub, tuple(P.T), contours)
 
 
 @dataclass(frozen=True)
@@ -638,8 +633,8 @@ class ValidationReport:
     max_angle_error: float     # tail angle distance to nearest admissible
 
 
-def validate_descent(system, samples=33):
-    """Sample each descent contour and check it actually descends.
+def validate_descent(system):
+    """Sample each descent segment at 64 points and check it actually descends.
 
     Valid systems satisfy: stationarity |Phi'(z_j)| ~ 0, the integrand never
     rises above its saddle value along the path (up to slack), magnitudes at
@@ -649,6 +644,7 @@ def validate_descent(system, samples=33):
     phase = system.phase
     X = phase.big_x
     dirs = decay_directions(phase.degree, phase.leading)
+    u = np.linspace(0.0, 1.0, 64)
 
     max_grad = 0.0
     max_uphill = -math.inf
@@ -659,7 +655,6 @@ def validate_descent(system, samples=33):
         max_grad = max(max_grad, abs(complex(phase.dphi(zj))))
         ref = complex(phase.phi(zj)).real
         for seg in cont.segments:
-            u = np.linspace(0.0, 1.0, samples)
             z = seg.start + (seg.end - seg.start) * u
             re = X * (np.real(phase.phi(z)) - ref)
             max_uphill = max(max_uphill, float(re.max()))

@@ -19,6 +19,7 @@ whose leading coefficient is always omega_n sigma^n.  Stationary points solve
 W'(z) = 1; the ones in the closed upper half plane carry the asymptotics.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -152,11 +153,15 @@ def normalize(coeffs):
     """Build a DispersionRelation, stripping drift/phase and validating.
 
     Accepts a dict {degree: coefficient}, a sequence of ascending
-    coefficients, or an existing relation.  Raises InvalidDispersion when no
-    term of degree >= 2 survives, IllPosed when the leading coefficient
-    violates Im(omega_n) <= 0 (n even) / omega_n real (n odd).
+    coefficients, or an existing relation.  Raises InvalidDispersion when a
+    coefficient is not finite or no term of degree >= 2 survives, IllPosed
+    when the leading coefficient violates Im(omega_n) <= 0 (n even) /
+    omega_n real (n odd).
     """
     d = _as_coeff_dict(coeffs)
+    for j, c in d.items():
+        if not cmath.isfinite(c):
+            raise InvalidDispersion(f"coefficient of degree {j} is not finite: {c}")
     phase_rate = d.pop(0, 0j)
     drift = d.pop(1, 0j)
     if abs(drift.imag) > 1e-14 * max(1.0, abs(drift)):

@@ -155,17 +155,16 @@ class _Nested:
 
 
 class _Ladder:
-    """One segment's refinement to the tolerance tol: its current order, its
+    """One segment's refinement to the tolerance TOL: its current order, its
     last estimates and, once decided, whether it settled or the error it
-    raises (NoConvergence past max_order, or NonFinite).  Its first rule,
+    raises (NoConvergence past MAX_ORDER, or NonFinite).  Its first rule,
     of order N, may bring the estimate of order N/2 along (see take): the
     ladder then runs as if it had started at N/2, one rule call fewer."""
 
-    __slots__ = ("seg", "tol", "max_order", "order", "seglen", "val", "prev", "dprev",
-                 "done", "error")
+    __slots__ = ("seg", "order", "seglen", "val", "prev", "dprev", "done", "error")
 
-    def __init__(self, seg, tol, max_order):
-        self.seg, self.tol, self.max_order = seg, tol, max_order
+    def __init__(self, seg):
+        self.seg = seg
         if isinstance(seg.start, tuple):   # one segment per point of a batch
             self.seglen = np.abs(np.subtract(seg.end, seg.start))
         else:
@@ -177,10 +176,10 @@ class _Ladder:
 
     def _climb_to(self, order):
         self.order = order
-        if order > self.max_order:
+        if order > MAX_ORDER:
             self.error = NoConvergence(
                 f"segment {self.seg.start} -> {self.seg.end} did not converge "
-                f"by order {self.max_order}", last=self.val, previous=self.prev)
+                f"by order {MAX_ORDER}", last=self.val, previous=self.prev)
 
     def take(self, val, fmax, half=None):
         """Record the estimate at the current order; the segment is done once
@@ -196,8 +195,8 @@ class _Ladder:
             # segments whose value nearly cancels still converge once the
             # rule saturates
             d = abs(val - self.prev)
-            scale = self.tol * fmax * self.seglen
-            done = d <= self.tol * abs(val) + 1e-3 * scale
+            scale = TOL * fmax * self.seglen
+            done = d <= TOL * abs(val) + 1e-3 * scale
             # roundoff plateau: when the integrand carries a huge absolute
             # phase, node values are only good to eps*phase and doubling the
             # order stops helping; accept once the stall is negligible
@@ -269,7 +268,7 @@ def _lockstep(f, ladders):
             _refine(f, group[k:k + rows])
 
 
-def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
+def integrate_contour(f, contour):
     """Adaptively integrate f along every segment of a contour and sum.
 
     f must accept a complex ndarray of nodes and return complex values
@@ -297,9 +296,9 @@ def integrate_contour(f, contour, tol=TOL, max_order=MAX_ORDER):
     Either way each segment meets the same orders, and the first segment
     in contour order that fails decides what is raised: NoConvergence
     (with the last two estimates attached) if it does not settle by
-    max_order, NonFinite on nan/inf.
+    MAX_ORDER, NonFinite on nan/inf.
     """
-    ladders = [_Ladder(seg, tol, max_order) for seg in contour.segments]
+    ladders = [_Ladder(seg) for seg in contour.segments]
     first = _Nested(f)   # the first segment's integrand, should it climb alone
     if ladders and ladders[0].error is None:
         _refine(first, ladders[:1])

@@ -9,11 +9,10 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy.special import sici, wofz
+from scipy.special import sici
 
 from dispgibbs import (PiecewisePolynomialIC, asymptotic_I, box, eval_I,
-                       normalize, overshoot, overshoot_table,
+                       normalize, overshoot,
                        rescaled_profile, residue_part, smoothed_box, solve,
                        wilbraham_gibbs_constant)
 from dispgibbs.cli import SUITES
@@ -26,18 +25,6 @@ GIBBS = 0.089489872236083635
 def _line(num, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, detail
-
-
-def _cerf(z):
-    z = np.asarray(z, dtype=complex)
-    return 1.0 - np.exp(-z * z) * wofz(1j * z)
-
-
-@pytest.fixture(scope="module")
-def big_table():
-    t0 = time.perf_counter()
-    reports = overshoot_table([3, 5, 9, 17, 33])
-    return reports, time.perf_counter() - t0
 
 
 def test_criterion_01_gibbs_constant():
@@ -75,35 +62,15 @@ def test_criterion_03_values_at_zero():
                  f"t-spread {worst_t:.2e} (< 1e-10) over t in {{1e-3,1,10}}")
 
 
-def test_criterion_04_overshoot_convergence(big_table):
-    table, table_dt = big_table
-    t0 = time.perf_counter() - table_dt
-    devs = [abs(r.sup_re - (1 + GIBBS)) for r in table]
-    mono = all(a > b for a, b in zip(devs, devs[1:]))
-    last = table[-1]
-    im_ok = abs(last.sup_im) < 0.02 and abs(last.inf_im) < 0.02
-
-    t_spread = 0.0
-    for n in (3, 5):
-        base = table[0 if n == 3 else 1]
-        for t in (0.25, 4.0):
-            r = overshoot(n, t=t)
-            t_spread = max(t_spread, abs(r.sup_re - base.sup_re),
-                           abs(r.inf_re - base.inf_re))
-
-    y = np.linspace(0.0, 10.0, 50001)
-    ref2 = (_cerf(np.exp(-1j * np.pi / 4) * y / 2).real.max() + 1.0) / 2
-    e2 = abs(overshoot(2).sup_re - ref2)
+def test_criterion_04_overshoot_convergence():
+    # the `dispgibbs verify gibbs` suite: |sup_re-(1+g)| strictly decreasing
+    # over n=3,5,9,17,33 and below 0.02 at 33, |im| of the n=33 extrema, the
+    # t-spread of n=3,5 over t in {0.25,4}, n=2 against its closed form
+    t0 = time.perf_counter()
+    ok, lines = SUITES["gibbs"]()
     dt = time.perf_counter() - t0
-
-    ok = (mono and devs[-1] < 0.02 and im_ok and t_spread < 1e-7
-          and e2 < 1e-6 and dt < 300.0)
-    _line(4, ok, f"|sup_re-(1+g)| over n=3,5,9,17,33: "
-                 + ", ".join(f"{d:.3e}" for d in devs)
-                 + f" (monotone, last < 0.02); |im| at 33 "
-                 f"{max(abs(last.sup_im), abs(last.inf_im)):.1e} (< 0.02); "
-                 f"t-spread {t_spread:.1e} (< 1e-7); n=2 vs closed form "
-                 f"{e2:.1e} (< 1e-6); {dt:.0f} s (< 300 s)")
+    errs = "; ".join(f"{label} {err:.3e} (< {tol:g})" for label, err, tol in lines)
+    _line(4, ok and dt < 300.0, f"{errs}; {dt:.0f} s (< 300 s)")
 
 
 def test_criterion_05_limits_and_ladder():
@@ -153,12 +120,12 @@ def test_criterion_07_universality():
                  f"@ t=1e-8 (decreasing); {dt:.1f} s (< 60 s)")
 
 
-def test_criterion_08_gibbs_on_line(big_table):
+def test_criterion_08_gibbs_on_line():
     om = normalize({5: 1})
     t = 1e-6
     xs = np.linspace(-1.5, -0.5, 251)
     qmax = max(solve(box(), om, float(x), t).real for x in xs)
-    want = big_table[0][1].sup_re  # n = 5 row
+    want = overshoot(5).sup_re
     ok = abs(qmax - want) < 0.01
     _line(8, ok, f"max Re q near the jump {qmax:.6f} vs overshoot(5).sup_re "
                  f"{want:.6f}; |diff| {abs(qmax - want):.2e} (< 0.01)")

@@ -45,6 +45,9 @@ def test_eval_json_and_output_file(tmp_path):
     r2 = run(*args, "--output", str(out))
     assert r2.exit_code == 0 and r2.output == ""
     assert out.read_text() == r.output
+    for bad in (tmp_path, tmp_path / "missing" / "vals.json"):
+        r3 = run(*args, "--output", str(bad))
+        assert r3.exit_code == 2 and "cannot write --output" in r3.stderr
 
 
 def test_eval_validation_failures():
@@ -56,6 +59,9 @@ def test_eval_validation_failures():
                "--y-grid", "0:1:3").exit_code == 2
     assert run("eval", "--omega", "2:1i", "--t", "1",
                "--y-grid", "0:1:3").exit_code == 2  # ill-posed
+    for omega in ("3:1,0:1e400", "3:1,2:nan"):   # were nan rows, and a LinAlgError
+        r = run("eval", "--omega", omega, "--t", "1", "--y-grid", "-1:1:3")
+        assert r.exit_code == 2 and "is not finite" in r.stderr
 
 
 def test_kernel_values():
@@ -107,6 +113,11 @@ def test_solve_ic_validation():
     args = ("solve", "--omega", "2:1", "--t", "0.1", "--x-grid", "0:1:3")
     assert run(*args, "--ic", "pyramid").exit_code == 2
     assert run(*args, "--ic", "smoothed-box:-0.5").exit_code == 2
+    r = run(*args, "--ic", ".")      # a directory
+    assert r.exit_code == 2 and "bad IC file" in r.stderr
+    r = run("solve", "--omega", "3:1,0:nan", "--ic", "box", "--t", "0.1",
+            "--x-grid", "-1:1:3")       # printed nan rows
+    assert r.exit_code == 2 and "degree 0 is not finite" in r.stderr
     assert run("solve", "--omega", "2:1", "--ic", "box", "--t", "-1",
                "--x-grid", "0:1:3").exit_code == 2
     r = run(*args, "--ic", "smoothed-box:0.1")
@@ -135,6 +146,7 @@ def test_gibbs_table_other_formats():
     assert len(rows) == 1 and set(rows[0]) == set(GIBBS_COLUMNS)
     assert run("gibbs-table", "--n", "1").exit_code == 2
     assert run("gibbs-table", "--n", "2;3").exit_code == 2
+    assert run("gibbs-table", "--n", "3", "--sigma", "nan").exit_code == 2
 
 
 def test_contour_dump_connected():
@@ -147,12 +159,29 @@ def test_contour_dump_connected():
         assert math.hypot(a["re1"] - b["re0"], a["im1"] - b["im0"]) < 1e-9
 
 
+# contour-dump --kind detour: -40 -> -0.5, eight chords of the radius-0.5
+# semicircle over the pole, 0.5 -> 40, as (re0, im0, re1, im1, order)
+DETOUR = [
+    (-40.0, 0.0, -0.5, 0.0, 64),
+    (-0.5, 6.123233995736766e-17, -0.46193976625564337, 0.19134171618254495, 32),
+    (-0.46193976625564337, 0.19134171618254495, -0.35355339059327373, 0.3535533905932738, 32),
+    (-0.35355339059327373, 0.3535533905932738, -0.19134171618254486, 0.46193976625564337, 32),
+    (-0.19134171618254486, 0.46193976625564337, 3.061616997868383e-17, 0.5, 32),
+    (3.061616997868383e-17, 0.5, 0.19134171618254492, 0.46193976625564337, 32),
+    (0.19134171618254492, 0.46193976625564337, 0.3535533905932738, 0.35355339059327373, 32),
+    (0.3535533905932738, 0.35355339059327373, 0.46193976625564337, 0.1913417161825449, 32),
+    (0.46193976625564337, 0.1913417161825449, 0.5, 0.0, 32),
+    (0.5, 0.0, 40.0, 0.0, 64),
+]
+
+
 def test_contour_dump_kinds():
     detour = run("contour-dump", "--omega", "2:1", "--y", "0", "--t", "1",
                  "--kind", "detour")
     assert detour.exit_code == 0
-    segs = json.loads(detour.output)
-    assert all(s["im0"] >= -1e-15 and s["im1"] >= -1e-15 for s in segs)
+    keys = ("re0", "im0", "re1", "im1", "order")
+    assert detour.output == json.dumps([dict(zip(keys, row)) for row in DETOUR],
+                                       indent=2) + "\n"
     descent = run("contour-dump", "--omega", "2:1", "--y", "8", "--t", "1",
                   "--kind", "descent")
     assert descent.exit_code == 0
@@ -193,12 +222,13 @@ def test_verify_limits():
 
 def test_verify_all_suites():
     # oracles 3, ode 3 (two of them criterion 05's ladder and seeded
-    # residuals), limits 7 (the far ends criterion 05 also checks), gibbs 2:
-    # one ok line per check
+    # residuals), limits 7 (the far ends criterion 05 also checks), gibbs 6
+    # (criterion 04's checks and the constant of criterion 01): one ok line
+    # per check
     r = run("verify")
     assert r.exit_code == 0, r.output
     lines = r.output.splitlines()
-    assert len(lines) == 15 and all(line.startswith("ok   [") for line in lines)
+    assert len(lines) == 19 and all(line.startswith("ok   [") for line in lines)
     suites = {line.split("]")[0][len("ok   ["):] for line in lines}
     assert suites == {"gibbs", "limits", "ode", "oracles"}
 

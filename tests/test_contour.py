@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import time
 
@@ -23,10 +24,10 @@ def _connected(contour, tol=1e-12):
 
 
 def test_pole_avoiding_shape():
-    c = pole_avoiding_contour(0.5, 10.0, 64)
+    c = pole_avoiding_contour()
     assert len(c.segments) == 10          # 2 straight pieces + 8 arc chords
-    assert c.segments[0].start == pytest.approx(-10.0)
-    assert c.segments[-1].end == pytest.approx(10.0)
+    assert c.segments[0].start == pytest.approx(-40.0)
+    assert c.segments[-1].end == pytest.approx(40.0)
     assert _connected(c)
     for seg in c.segments:
         assert seg.start.imag >= -1e-15 and seg.end.imag >= -1e-15
@@ -38,17 +39,9 @@ def test_pole_avoiding_shape():
 def test_pole_avoiding_half_residue():
     # (1/2pi) int dk/(ik) over the detour contour picks up minus half the
     # residue: the detour passes clockwise over the pole
-    c = pole_avoiding_contour(0.5, 10.0, 64)
+    c = pole_avoiding_contour()
     val = integrate_contour(lambda z: 1.0 / (1j * z) / (2 * np.pi), c)
     assert abs(val - (-0.5)) < 1e-12
-
-
-def test_pole_avoiding_validation():
-    pole_avoiding_contour(0.99, 2.0, 16)
-    with pytest.raises(ValueError):
-        pole_avoiding_contour(1.0, 10.0, 16)
-    with pytest.raises(ValueError):
-        pole_avoiding_contour(0.5, 0.4, 16)
 
 
 def test_decay_directions_heat_is_real_axis():
@@ -240,11 +233,12 @@ def test_descent_heat_single_contour_at_quarter_angle():
     sysd = descent_system(ph)
     assert len(sysd.contours) == 1
     assert sysd.points[0] == pytest.approx(0.5)
-    th = sysd.angles[0] % math.pi
-    assert th == pytest.approx(3 * math.pi / 4, abs=1e-12)
+    central = sysd.contours[0].segments[1]
+    angle = cmath.phase(central.end - central.start)
+    assert angle % math.pi == pytest.approx(3 * math.pi / 4, abs=1e-12)
     # Re(Phi'' e^{2 i theta}) < 0 along the central segment
     phi2 = complex(ph.d2phi(sysd.points[0]))
-    assert (phi2 * cmath.exp(2j * sysd.angles[0])).real < 0
+    assert (phi2 * cmath.exp(2j * angle)).real < 0
 
 
 def test_descent_stokes_tails_reach_admissible_angles():
@@ -267,7 +261,7 @@ def test_descent_stokes_tails_reach_admissible_angles():
 ])
 def test_validate_descent_passes(coeffs, x, t):
     sysd = descent_system(scaled_phase(normalize(coeffs), x, t))
-    report = validate_descent(sysd, samples=64)
+    report = validate_descent(sysd)
     assert report.ok
     # max Re X Phi along each contour is attained at the saddle
     assert report.max_uphill < 1e-10
@@ -278,18 +272,18 @@ def test_validate_descent_flags_wrong_angle():
     ph = scaled_phase(normalize({2: 1}), 9.0, 1.0)
     sysd = descent_system(ph)
     # rotate the central segment to the ascent direction; keep the tails
-    import dataclasses
     from dispgibbs import Contour, Segment
     zj = sysd.points[0]
     good = sysd.contours[0]
-    th = sysd.angles[0] + math.pi / 2
+    central = good.segments[1]
+    th = cmath.phase(central.end - central.start) + math.pi / 2
     h = abs(good.segments[1].end - zj)
     bad_central = Segment(zj - h * cmath.exp(1j * th),
                           zj + h * cmath.exp(1j * th), 64)
     bad = dataclasses.replace(sysd, contours=(Contour(
         (good.segments[0], bad_central, good.segments[2]),
         label=good.label),))
-    report = validate_descent(bad, samples=64)
+    report = validate_descent(bad)
     assert not report.ok
     assert report.max_uphill > 1.0
 
@@ -317,11 +311,10 @@ def test_doubling_order_saturates():
     def f(z):
         return np.exp(1j * z * 2.0 - 1j * om(z) - ref) / (1j * z) / (2 * np.pi)
 
-    vals = []
-    for order in (64, 128):
-        cont = direct_contour(om, 0, 2.0, order=order)
-        vals.append(integrate_contour(f, cont))
-    assert abs(vals[0] - vals[1]) < 1e-10
+    cont = direct_contour(om, 0, 2.0)
+    twin = dataclasses.replace(cont, segments=tuple(
+        dataclasses.replace(sg, order=2 * sg.order) for sg in cont.segments))
+    assert abs(integrate_contour(f, cont) - integrate_contour(f, twin)) < 1e-10
 
 
 def _recorded_marches(monkeypatch):
@@ -378,7 +371,7 @@ def test_descent_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatc
         if sysd is None:
             continue
         built += 1
-        assert validate_descent(sysd, samples=64).ok, (coeffs, y)
+        assert validate_descent(sysd).ok, (coeffs, y)
         assert len(marches) == 2 * len(sysd.points)
         capped = [_capped(vals) for vals, _ in marches]
         # each saddle marches its forward tail, then its backward one

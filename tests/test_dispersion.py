@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion,
+from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion, eval_I,
                        format_omega, normalize, parse_omega, rescaled,
                        scaled_phase, stationary_points)
 from dispgibbs.dispersion import polyder, polyval
@@ -35,6 +37,11 @@ def test_well_posedness():
         normalize({1: 3})
     with pytest.raises(InvalidDispersion):
         normalize({0: 1})
+    for degree in (0, 1, 2, 3):       # the phase rate and the drift too
+        with pytest.raises(InvalidDispersion, match=f"degree {degree} is not finite"):
+            normalize({3: 1, degree: math.nan})
+    with pytest.raises(InvalidDispersion, match="degree 2 is not finite"):
+        eval_I({3: 1, 2: complex(0, math.inf)}, 0, 0.5, 1.0)   # was a LinAlgError
 
 
 def test_polynomial_eval():

@@ -113,12 +113,13 @@ def test_contour_adaptive_refines_coarse_segments():
     assert abs(val - exact) < 1e-10
 
 
-def test_no_convergence_carries_estimates():
+def test_no_convergence_carries_estimates(monkeypatch):
     # |z| is not analytic: CC refinement stalls at O(h^2) around the kink
+    monkeypatch.setattr(quadrature, "TOL", 1e-14)
+    monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
     seg = Segment(-1.0, 1.0, 8)
     with pytest.raises(NoConvergence) as info:
-        integrate_contour(lambda z: np.abs(z), Contour((seg,), label="t"),
-                          tol=1e-14, max_order=64)
+        integrate_contour(lambda z: np.abs(z), Contour((seg,), label="t"))
     assert info.value.last is not None
     assert info.value.previous is not None
     # the estimates are still decent approximations of the true value 1
@@ -176,7 +177,7 @@ def _ladders_seen(monkeypatch, evaluate):
     integrals, segments, pairs = [], [], []
     integrate, rule = special.integrate_contour, quadrature.integrate_segment
 
-    def hooked_integrate(f, contour, **kwargs):
+    def hooked_integrate(f, contour):
         seen = {"f": f, "contour": contour, "orders": {}, "columns": {}}
         integrals.append(seen)
 
@@ -185,7 +186,7 @@ def _ladders_seen(monkeypatch, evaluate):
                 seen["columns"][pair] = seen["columns"].get(pair, 0) + z.shape[-1]
             return f(z)
 
-        seen["value"] = integrate(counted, contour, **kwargs)
+        seen["value"] = integrate(counted, contour)
         return seen["value"]
 
     def hooked_rule(f, start, end, order):
@@ -306,15 +307,17 @@ def _three_segments(*order):
     return f, Contour(tuple(segs[name] for name in order), label="t")
 
 
-def test_lockstep_failure_is_the_first_failing_segment():
+def test_lockstep_failure_is_the_first_failing_segment(monkeypatch):
+    monkeypatch.setattr(quadrature, "TOL", 1e-14)
+    monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
     f, contour = _three_segments("good", "kink", "nan")
     with pytest.raises(NoConvergence, match=r"segment \(2\+0j\) -> \(4\+0j\)") as info:
-        integrate_contour(f, contour, tol=1e-14, max_order=64)
+        integrate_contour(f, contour)
     assert info.value.last is not None
     assert info.value.previous is not None
     f, contour = _three_segments("good", "nan", "kink")
     with pytest.raises(NonFinite, match=r"segment \(5\+0j\) -> \(6\+0j\)"):
-        integrate_contour(f, contour, tol=1e-14, max_order=64)
+        integrate_contour(f, contour)
 
 
 def test_lockstep_memory_is_bounded_by_the_node_cap():
