@@ -20,9 +20,12 @@ contour's rules carry one row per point: for every draw with t > 0,
 eval_I_grid of the draw's symbol, m and t with method "auto" and "direct"
 (lines "grid-auto" and "grid-direct") on the canonical shapes GRID_SHAPES,
 placed at y as the draws place theirs, the value being the repr of the
-list of values; then, once, overshoot_table([3, 5, 9]) at
-sigma = 1, t = 1 ("gibbs", the repr of the table) and the CSV that the
-benchmark's solve workload prints ("solve").
+list of values; then, once, the grids of FIXED_GRIDS at m = 0 and 1 (seed
+"fixed"): k^5 with four direct points and a descent window that fails from
+s = 34 on, under auto and descent, and k^3 with one descent point under
+auto; then overshoot_table([3, 5, 9]) at sigma = 1, t = 1 ("gibbs", the
+repr of the table) and the CSV that the benchmark's solve workload prints
+("solve").
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
@@ -53,6 +56,10 @@ from dispgibbs import cli, eval_I, eval_I_grid, gibbs  # noqa: E402
 from workloads import GIBBS_DEGREES, SOLVE_ARGS, draw_queries  # noqa: E402
 
 GRID_SHAPES = np.linspace(-8.0, 8.0, 9)   # both routes under auto: |s| >= 4 is descent
+FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
+    ({5: 1}, [-1.0, -0.5, 0.5, 1.0] + np.linspace(33.0, 36.0, 7).tolist(), ("auto", "descent")),
+    ({3: 1}, [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0], ("auto",)),
+)
 
 
 def _outcome(line, value, show=repr):
@@ -88,6 +95,14 @@ def grid_outcomes(seed):
             yield _outcome({"seed": seed, "index": index, "method": "grid-" + method,
                             "query": repr((coeffs, m, ys.tolist(), t))},
                            lambda: eval_I_grid(coeffs, m, ys, t, method=method).tolist())
+
+
+def fixed_grid_outcomes():
+    for index, (coeffs, ys, methods) in enumerate(FIXED_GRIDS):
+        for m, method in itertools.product((0, 1), methods):
+            yield _outcome({"seed": "fixed", "index": index, "method": f"grid-{method}-m{m}",
+                            "query": repr((coeffs, m, ys, 1.0))},
+                           lambda: eval_I_grid(coeffs, m, ys, 1.0, method=method).tolist())
 
 
 def batch_products():
@@ -161,7 +176,7 @@ def main(argv):
     args = parser.parse_args(argv)
     if args.grid:
         lines = itertools.chain((line for seed in args.seeds for line in grid_outcomes(seed)),
-                                batch_products())
+                                fixed_grid_outcomes(), batch_products())
     else:
         lines = (line for seed in args.seeds for line in outcomes(seed))
     if args.against:

@@ -22,12 +22,13 @@ Three families:
   of the pieces is homotopic to the full path, but every segment now decays,
   which preserves *relative* accuracy even when exp(X Phi(z_j)) is 1e-100.
   ``descent_batches`` builds the same systems for a whole grid of shapes in
-  one vectorised pass; a lone shape keeps ``descent_system``.  A descent
-  system is integrated only when it passes four guards (its segments keep
-  clear of the pole, none is too long for its distance to the pole, and
-  the saddles are far enough apart for the quadratic scaling), written once
-  in ``_guards``: ``descent_batches`` applies them row by row, and
-  ``guard_descent`` to a lone system.
+  one vectorised pass; a one-point query keeps ``descent_system``.  A
+  descent system is integrated only when it passes four guards (its
+  segments keep clear of the pole, none comes closer to it than 5% of the
+  nearest saddle's distance to it, none is too long for its distance to
+  the pole, and the saddles are far enough apart for the quadratic
+  scaling), written once in ``_guards``: ``descent_batches`` applies them
+  row by row, and ``guard_descent`` to a lone system.
 """
 
 import cmath
@@ -305,16 +306,17 @@ def direct_contour(omega, m, s_lo, s_hi=None):
     """Pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
 
     omega must already have t folded in (t=1).  Each side ends where the
-    integrand has fallen TAIL_DROP below its value by the pole: on the real
-    axis itself when it dies there before the bend radius a (_real_cut),
-    otherwise on a ray bent off the axis at a.  The bend radius sits
-    outside every saddle of the full phase and outside the region where
-    lower-order terms compete with the leading one, so only decaying tails
-    are cut.  The real axis is split so each segment holds a bounded number
-    of radians of phase (PHASE_BUDGET), and so is each ray; a stretch that
-    needs more than MAX_SEGMENTS pieces raises NoConvergence.  The detour
-    over the pole is shrunk until the integrand cannot grow along it
-    (_arc_radius), for either sign of s.
+    integrand has fallen TAIL_DROP below its value by the pole (probed on
+    the detour, at most 0.001 above the pole, or at 0.001i when m = -1
+    has no detour): on the real axis itself when it dies there before the
+    bend radius a (_real_cut), otherwise on a ray bent off the axis at a.
+    The bend radius sits outside every saddle of the full phase and
+    outside the region where lower-order terms compete with the leading
+    one, so only decaying tails are cut.  The real axis is split so each
+    segment holds a bounded number of radians of phase (PHASE_BUDGET), and
+    so is each ray; a stretch that needs more than MAX_SEGMENTS pieces
+    raises NoConvergence.  The detour over the pole is shrunk until the
+    integrand cannot grow along it (_arc_radius), for either sign of s.
 
     One contour serves every s in [s_lo, s_hi] (s_hi defaults to s_lo): the
     log-magnitude Re(izs - i omega(z)) is affine in s, so the rays, the
@@ -338,13 +340,13 @@ def direct_contour(omega, m, s_lo, s_hi=None):
         # the s-term -s Im(z) peaks over [s_lo, s_hi] at the end Im(z) selects
         return _phase_exponent(omega, s_lo if z.imag >= 0 else s_hi, z)
 
-    ref = max(0.0, exponent(0.001j))
+    # the real axis runs from the detour radius (from 0 with no pole) out
+    radius = _arc_radius(omega, s_lo, a) if m >= 0 else 0.0
+    ref = max(0.0, exponent(1j * min(0.001, radius) if m >= 0 else 0.001j))
 
     def logmag(z):
         return exponent(z) - ref
 
-    # the real axis runs from the detour radius (from 0 with no pole) out
-    radius = _arc_radius(omega, s_lo, a) if m >= 0 else 0.0
     paths = []   # each side's knots, outward from the pole
     for sign in (-1.0, 1.0):
         cut = _real_cut(omega, ref - TAIL_DROP, sign)

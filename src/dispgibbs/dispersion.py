@@ -252,7 +252,6 @@ def rescaled(omega, t):
 class ScaledPhase:
     """Phi(z) = i(z - W(z)) with X factored out of the exponent."""
 
-    omega: DispersionRelation
     sigma: float
     big_x: float            # X = |y| * s_f
     scale: float            # s_f = (|y|/t)^(1/(n-1))
@@ -299,7 +298,7 @@ def scaled_phase(omega, y, t):
     for j, c in enumerate(omega.coeffs):
         if c != 0:
             w[j] = (t / big_x) * c * (sigma * s_f) ** j
-    return ScaledPhase(omega, sigma, big_x, s_f, tuple(w))
+    return ScaledPhase(sigma, big_x, s_f, tuple(w))
 
 
 def scaled_phase_rows(omega, ys):
@@ -312,13 +311,13 @@ def scaled_phase_rows(omega, ys):
     big_x = np.abs(ys) * s_f
     w = tuple((1.0 / big_x) * c * (sigma * s_f) ** j if c != 0 else np.zeros(len(ys), complex)
               for j, c in enumerate(omega.coeffs))
-    return ScaledPhase(omega, sigma, big_x, s_f, w)
+    return ScaledPhase(sigma, big_x, s_f, w)
 
 
 def take_rows(phase, rows):
     """The rows `rows` (an index array) of a ScaledPhase from scaled_phase_rows."""
-    return ScaledPhase(phase.omega, phase.sigma[rows], phase.big_x[rows],
-                       phase.scale[rows], tuple(c[rows] for c in phase.wcoeffs))
+    return ScaledPhase(phase.sigma[rows], phase.big_x[rows], phase.scale[rows],
+                       tuple(c[rows] for c in phase.wcoeffs))
 
 
 def expected_stationary_count(n, wlead):

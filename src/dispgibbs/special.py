@@ -18,11 +18,13 @@ system of the rescaled phase ("descent"), which keeps relative accuracy even
 when the answer is 1e-100 of the integrand scale.  t = 0 is exact:
 I_m(y, 0) = -(y^m / m!) for y < 0 and 0 for y > 0.  Every query goes
 through one router, _evaluate, which takes a grid of y at one
-(omega, m, t) and shares the work within a route: one direct contour for
-the direct points; for the descent points, one batched build of their
-saddle geometry (a lone point keeps the scalar builder) and one quadrature
-rule per saddle segment.  eval_I is its one-point case, eval_I_grid its
-grid case.
+(omega, m, t) down one of two paths.  One point (_one) builds its own
+saddle geometry or direct contour and refines its segments in lockstep.
+A grid (_grid) is always batched: one batched build of the descent
+points' saddle geometry and one quadrature rule per saddle segment, and
+one direct contour for the direct points.  One rule joins them: a grid
+that fails anywhere is evaluated again point by point through _one.
+eval_I is the one-point case, eval_I_grid the grid case.
 """
 
 import cmath
@@ -141,7 +143,7 @@ def _direct_core(can, m, s):
         return val
 
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         return integrate_contour(f, cont), cont
 
 
@@ -165,7 +167,7 @@ def _descent_core(can, m, s, system):
     X = column(phase.big_x)
     W = tuple(column(c) for c in phase.wcoeffs)
     total = 0j
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         for zj, cont in zip(system.points, system.contours):
             c_ref = phase.big_x * np.real(phase.phi(zj))
             if np.max(c_ref) > 700.0:
@@ -198,22 +200,13 @@ def _descent_core(can, m, s, system):
 def _evaluate(omega, m, ys, t, method):
     """The one path from a query to its values: normalize, validate every
     point of the non-empty 1-D grid ys, then the exact t = 0 closed form or
-    the canonical shapes s = y/u, split by route.
+    the canonical shapes s = y/u, evaluated by _one for one point and by
+    _grid for a grid.
 
-    The direct points share one direct contour, built for the range of
-    their shapes; a lone direct point keeps the scalar quadrature path.
-    The geometry of two or more descent points is built in one batch
-    (descent_batches, s = 0 left out), and a lone descent point keeps the
-    scalar builder descent_system; both pass contour's one set of descent
-    guards (guard_descent for the lone point), and the points with the
-    same number of saddles share every quadrature rule (see
-    _descent_core).  Under auto a point whose descent geometry fails its
-    guards joins the direct batch, and so does a lone descent point whose
-    quadrature does not converge.  A batch of several points that raises
-    NoConvergence or NonFinite is evaluated again point by point, and so
-    is the whole grid, in grid order, when any point fails under descent
-    (which has no fallback), so a grid answers or raises as its points
-    would alone.
+    The one rule between them: a grid that raises NoConvergence, NonFinite
+    or DegeneratePhase anywhere is evaluated again point by point through
+    _one, in grid order, so it answers or raises as its points would alone
+    and its values are then those of eval_I bit for bit.
 
     Returns (values, contours integrated); the closed form integrates none.
     """
@@ -228,77 +221,78 @@ def _evaluate(omega, m, ys, t, method):
                          for y in ys.tolist()], dtype=complex), []
 
     can, s, u, factor = _canonical(omega, ys, t)
-    scale = factor * u ** m
-    out = np.empty(len(s), dtype=complex)
-    contours = []
-
-    def one_by_one(idx):
-        for i in idx:
-            vals, conts = _evaluate(omega, m, ys[i:i + 1], t, method)
-            out[i] = vals[0]
-            contours.extend(conts)
-        return out, contours
-
-    guarded = method == "auto"
-    direct, descent = [], []
-    for i, si in enumerate(s.tolist()):
-        if method == "direct" or (guarded and abs(si) < DESCENT_THRESHOLD):
-            direct.append(i)
-        else:
-            descent.append(i)
-    batches = []   # (indices, the system of their descent contours)
-    if len(descent) == 1:   # a lone descent point builds its own contours
+    if len(s) == 1:
+        vals, contours = _one(can, m, s[0], method)
+    else:
         try:
-            if s[descent[0]] == 0:
+            vals, contours = _grid(can, m, s, method)
+        except (NoConvergence, NonFinite, DegeneratePhase):
+            each = [_one(can, m, si, method) for si in s]
+            vals = [v for vs, _ in each for v in vs]
+            contours = [c for _, cs in each for c in cs]
+    # scaled value by value, as a lone point is scaled: numpy multiplies
+    # a complex array and a complex scalar differently
+    scale = factor * u ** m
+    return np.array([scale * v for v in vals], dtype=complex), contours
+
+
+def _one(can, m, s, method):
+    """Unscaled value at one shape s, as a 1-element array, and the
+    contours integrated.
+
+    The descent route builds the point's own saddle geometry
+    (descent_system, then guard_descent) and integrates its segments in
+    lockstep; under auto a point whose geometry fails its guards
+    (DegeneratePhase) or whose descent quadrature does not converge
+    (NoConvergence) takes the direct route instead.  NonFinite is raised.
+    """
+    if method == "descent" or (method == "auto" and abs(s) >= DESCENT_THRESHOLD):
+        try:
+            if s == 0:
                 raise DegeneratePhase("descent evaluation needs y != 0")
-            system = descent_system(scaled_phase(can, s[descent[0]], 1.0))
-            batches.append((descent, guard_descent(system, m, guarded)))
-        except DegeneratePhase:
+            system = guard_descent(descent_system(scaled_phase(can, s, 1.0)), m, method == "auto")
+            return _descent_core(can, m, [s], system), list(system.contours)
+        except (DegeneratePhase, NoConvergence):
             if method == "descent":
                 raise
-    elif descent:
-        live = [i for i in descent if s[i] != 0]
-        batches = [([live[r] for r in rows.tolist()], system)
-                   for rows, system in descent_batches(scaled_phase_rows(can, s[live]), m, guarded)]
-    passed = {i for idx, _ in batches for i in idx}
-    failed = [i for i in descent if i not in passed]
-    if failed and method == "descent":
-        return one_by_one(range(len(s)))
-    direct = sorted(direct + failed)
+    value, cont = _direct_core(can, m, float(s))
+    return np.atleast_1d(value), [cont]
 
-    def store(idx, vals):
-        # scaled value by value, as a lone point is scaled: numpy multiplies
-        # a complex array and a complex scalar differently
-        out[idx] = [scale * v for v in np.atleast_1d(vals)]
 
+def _grid(can, m, s, method):
+    """Unscaled values at two or more shapes s, and the contours integrated.
+
+    Every descent point goes through one batched build (descent_batches,
+    contour's descent guards applied row by row), and the points with the
+    same number of saddles share every quadrature rule (see _descent_core).
+    All direct points share one direct contour, built for the range of
+    their shapes.  Under auto the rows whose geometry fails join the direct
+    batch; any other failure is raised, for _evaluate's rule.
+    """
+    guarded = method == "auto"
+    if method == "descent" and not s.all():
+        raise DegeneratePhase("descent evaluation needs y != 0")
+    descent = np.flatnonzero(np.abs(s) >= DESCENT_THRESHOLD if guarded
+                             else np.full(len(s), method == "descent"))
+    batches = []   # (indices, the system of their descent contours)
+    if len(descent):
+        batches = [(descent[rows], system) for rows, system in
+                   descent_batches(scaled_phase_rows(can, s[descent]), m, guarded)]
+    direct = np.ones(len(s), dtype=bool)
+    for idx, _ in batches:
+        direct[idx] = False
+    if method == "descent" and direct.any():
+        raise DegeneratePhase("a descent point of the grid fails its checks")
+
+    vals = np.empty(len(s), dtype=complex)
+    contours = []
     for idx, system in batches:
-        try:
-            vals = _descent_core(can, m, s[idx], system)
-        except (NoConvergence, NonFinite) as exc:
-            if method == "descent" and len(s) > 1:
-                return one_by_one(range(len(s)))
-            if len(idx) > 1:
-                one_by_one(idx)
-            elif method == "auto" and isinstance(exc, NoConvergence):
-                direct += idx
-            else:
-                raise
-            continue
-        store(idx, vals)
+        vals[idx] = _descent_core(can, m, s[idx], system)
         contours.extend(system.contours)
-    if direct:
-        lone = len(direct) == 1
-        try:
-            vals, cont = _direct_core(
-                can, m, float(s[direct[0]]) if lone else s[direct][:, None])
-        except (NoConvergence, NonFinite):
-            if lone:
-                raise
-            one_by_one(direct)
-        else:
-            store(direct, vals)
-            contours.append(cont)
-    return out, contours
+    if direct.any():
+        vals[direct], cont = _direct_core(can, m, s[direct][:, None])
+        contours.append(cont)
+    return vals, contours
 
 
 def eval_I(omega, m, y, t, method="auto"):
@@ -324,9 +318,11 @@ def eval_I(omega, m, y, t, method="auto"):
 
 def eval_I_grid(omega, m, ys, t, method="direct"):
     """Evaluate I_m(y, t) at every y of a non-empty 1-D grid, each point on
-    the route eval_I(omega, m, y, t, method) would take, batched by route
-    (see _evaluate); a one-point grid gives exactly eval_I, and t = 0 gives
-    the closed form point by point.
+    the route eval_I(omega, m, y, t, method) would take, batched by route;
+    a grid that raises NoConvergence, NonFinite or DegeneratePhase anywhere
+    is evaluated again point by point, so it answers or raises as its
+    points would alone (see _evaluate).  A one-point grid gives exactly
+    eval_I, and t = 0 gives the closed form point by point.
     """
     return _evaluate(omega, m, ys, t, method)[0]
 

@@ -1,14 +1,16 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import airy, erf
+from scipy.special import airy, erf, erfc
 
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
                        ode_residual, quadrature, residue_part, special)
-from dispgibbs.contour import descent_batches, descent_system, guard_descent
+from dispgibbs.contour import (Contour, Segment, descent_batches, descent_system,
+                               guard_descent)
 from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL, FROZEN_MIXED
@@ -260,10 +262,29 @@ def test_frozen_mixed_values(name):
     assert _close(got, re, im), (name, got, (re, im))
 
 
-def test_direct_cubic_at_large_negative_s():
+def test_direct_cubic_at_large_negative_s(monkeypatch):
     # the detour over the pole shrinks with s < 0, so it carries no e^33
     # of cancellation at s = -66
     assert abs(eval_I({3: 1}, 0, -66.0, 1.0, method="direct") + 1.0) <= 1e-12
+    # past s = -45,000 a reference level probed 0.001 above the pole would
+    # sit TAIL_DROP above the real axis, and the axis would start on the
+    # pole; it is probed on the detour, and no warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-5e4, -1e5):
+            want = -0.5 * erfc(s / 2.0)      # heat, m = 0
+            assert abs(eval_I(HEAT, 0, s, 1.0, method="direct") - want) <= 1e-14 * (1 + abs(want))
+            for coeffs in (HEAT, {3: 1, 2: -0.5j}):
+                want = eval_I(coeffs, 1, s, 1.0)
+                got = eval_I(coeffs, 1, s, 1.0, method="direct")
+                assert abs(got - want) <= 1e-14 * (1 + abs(want)), (coeffs, s)
+        with pytest.raises(NoConvergence, match="direct contour needs"):
+            eval_I(HEAT, 0, -1e6, 1.0)
+        # a node on the pole is a NonFinite failure, and only that
+        monkeypatch.setattr(special, "direct_contour",
+                            lambda *args: Contour((Segment(0j, 1 + 0j),)))
+        with pytest.raises(NonFinite):
+            eval_I(HEAT, 0, 0.5, 1.0)
 
 
 def test_direct_matches_descent_at_negative_s_with_a_quadratic_term():
@@ -496,16 +517,16 @@ def test_batched_descent_build_matches_lone_builds_in_the_k5_window():
 
 def test_eval_I_grid_auto_in_the_k5_fallback_window():
     # around |s| = 34.5 the k^5 descent does not converge and eval_I falls
-    # back to direct; the grid's descent batch fails there and its points
-    # are evaluated again one by one
+    # back to direct; the grid's descent batch fails there, so the whole
+    # grid, its direct points included, is evaluated again one by one
     om = normalize({5: 1})
-    ys = np.concatenate([np.linspace(-36.0, -33.0, 7), np.linspace(33.0, 36.0, 7)])
-    routes = {_route(om, 0, float(y), 1.0) for y in ys}
-    assert "direct" in routes and routes != {"direct"}
-    for m in (0, 1):
-        got = eval_I_grid(om, m, ys, 1.0, method="auto")
-        want = np.array([eval_I(om, m, float(y), 1.0) for y in ys])
-        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), m
+    for ys in (np.concatenate([np.linspace(-36.0, -33.0, 7), np.linspace(33.0, 36.0, 7)]),
+               np.concatenate([[-1.0, -0.5, 0.5, 1.0], np.linspace(33.0, 36.0, 7)])):
+        routes = {_route(om, 0, float(y), 1.0) for y in ys}
+        assert "direct" in routes and routes != {"direct"}
+        for m in (0, 1):
+            got = eval_I_grid(om, m, ys, 1.0, method="auto")
+            assert list(got) == [eval_I(om, m, float(y), 1.0) for y in ys], m
 
 
 def test_eval_I_grid_descent_in_the_k5_window_raises_as_its_first_failing_point():
@@ -526,6 +547,29 @@ def test_eval_I_grid_descent_in_the_k5_window_raises_as_its_first_failing_point(
         with pytest.raises(NoConvergence) as got:
             eval_I_grid(om, m, ys, 1.0, method="descent")
         assert str(got.value) == str(failures[0])
+
+
+def test_eval_I_grid_one_descent_point_is_batched(monkeypatch):
+    # a grid's lone descent point takes the batched build like any other
+    om = normalize({3: 1})
+    ys = [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0]
+    assert [_route(om, 0, y, 1.0) for y in ys].count("direct") == 5
+    want = {m: np.array([eval_I(om, m, y, 1.0) for y in ys]) for m in (0, 1)}
+    built, batches = [], special.descent_batches
+
+    def no_descent_system(*args):
+        raise AssertionError("a grid built a lone descent system")
+
+    def counted(*args):
+        built.append(batches(*args))
+        return built[-1]
+
+    monkeypatch.setattr(special, "descent_system", no_descent_system)
+    monkeypatch.setattr(special, "descent_batches", counted)
+    for m in (0, 1):
+        got = eval_I_grid(om, m, ys, 1.0, method="auto")
+        assert np.all(np.abs(got - want[m]) <= 1e-12 * (1 + np.abs(want[m]))), m
+    assert [[rows.tolist() for rows, _ in b] for b in built] == [[[0]], [[0]]]
 
 
 @pytest.mark.parametrize("error", [NoConvergence, NonFinite])
