@@ -6,14 +6,15 @@ Three families:
   semicircular detour passing above k = 0 (the detour is what distinguishes
   the integral from a principal value when m >= 0).
 
-* ``direct_contour`` -- the pole-avoiding path, each end either cut on the
-  real axis where exp(-i omega(k) t) has already died there, or bent off
-  it into a direction where it decays.  Odd-degree real relations never
-  decay on the real axis, so they are always bent; the bend radius is
-  chosen outside all saddles so the homotopy never changes the value.  The
-  detour is small enough that the integrand cannot grow along it, and a
-  contour that would need more than MAX_SEGMENTS pieces raises
-  NoConvergence before it is built.
+* ``direct_contour`` -- the pole-avoiding path, each end cut TAIL_DROP
+  below the integrand's value at the pole: either on the real axis where
+  exp(-i omega(k) t) has already died there, or bent off it into a
+  direction where it decays.  Odd-degree real relations never decay on the
+  real axis, so they are always bent; the bend radius is chosen outside
+  all saddles so the homotopy never changes the value.  The detour is
+  small enough that the integrand keeps within a factor e of its value at
+  the pole along it, and a contour that would need more than MAX_SEGMENTS
+  pieces raises NoConvergence before it is built.
 
 * ``descent_system`` -- one short three-segment path per stationary point
   z_j of the rescaled phase Phi: a central segment through z_j along the
@@ -234,7 +235,8 @@ def _phase_knots(omega, s, rho, lo, hi, pieces):
 
 def _ray_breaks(omega, s, logmag, anchor, theta):
     """Truncation-ray split radii [0, ..., L] bounded by the phase budget,
-    or [0] (no ray) when the anchor has already dropped TAIL_DROP.
+    or [0] (no ray) when the anchor has already dropped TAIL_DROP (logmag
+    is the log-magnitude relative to the value by the pole).
 
     The first march step is scaled to the local decay rate (for steep
     symbols the ray dies within a sliver, and a unit step would hand the
@@ -274,21 +276,25 @@ def _adjacent_valleys(alpha, dirs):
     return below, above
 
 
-def _real_cut(omega, level, sign):
+def _real_cut(omega, sign):
     """The distance X past which the real-axis log-magnitude
-    P(x) = sum_j Im(omega_j) (sign x)^j of exp(-i omega) stays below level,
-    or None when P has no negative leading term on that side.
+    P(x) = sum_j Im(omega_j) (sign x)^j of exp(-i omega) stays TAIL_DROP
+    below its value 0 by the pole, or None when P has no negative leading
+    term on that side or dividing by that term overflows (a subnormal
+    damping term): a side without a cut is bent, which is always valid.
 
-    X is the largest real part over the roots of P - level: past it
-    P - level keeps the sign of its leading term.
+    X is the largest real part over the roots of P + TAIL_DROP: past it
+    P + TAIL_DROP keeps the sign of its leading term.
     """
     p = [c.imag * sign ** j for j, c in enumerate(omega.coeffs)]
     while p and p[-1] == 0.0:
         p.pop()
     if not p or p[-1] > 0.0:
         return None
-    p[0] -= level
-    return max(0.0, float(np.roots(p[::-1]).real.max()))
+    p[0] += TAIL_DROP
+    with np.errstate(all="ignore"):
+        monic = np.divide(p[::-1], p[-1])
+    return max(0.0, float(np.roots(monic).real.max())) if np.isfinite(monic).all() else None
 
 
 def _arc_radius(omega, s_lo, a):
@@ -302,13 +308,12 @@ def _arc_radius(omega, s_lo, a):
     return r
 
 
-def direct_contour(omega, m, s_lo, s_hi=None):
+def direct_contour(omega, m, s_lo, s_hi):
     """Pole-avoiding contour for (1/2pi) int e^(izs - i omega(z)) / (iz)^(m+1) dz.
 
     omega must already have t folded in (t=1).  Each side ends where the
-    integrand has fallen TAIL_DROP below its value by the pole (probed on
-    the detour, at most 0.001 above the pole, or at 0.001i when m = -1
-    has no detour): on the real axis itself when it dies there before the
+    integrand has fallen TAIL_DROP below its value 1 at the pole (log-
+    magnitude 0): on the real axis itself when it dies there before the
     bend radius a (_real_cut), otherwise on a ray bent off the axis at a.
     The bend radius sits outside every saddle of the full phase and
     outside the region where lower-order terms compete with the leading
@@ -316,16 +321,15 @@ def direct_contour(omega, m, s_lo, s_hi=None):
     segment holds a bounded number of radians of phase (PHASE_BUDGET), and
     so is each ray; a stretch that needs more than MAX_SEGMENTS pieces
     raises NoConvergence.  The detour over the pole is shrunk until the
-    integrand cannot grow along it (_arc_radius), for either sign of s.
+    integrand keeps within a factor e of its value at the pole along it
+    (_arc_radius), for either sign of s.
 
-    One contour serves every s in [s_lo, s_hi] (s_hi defaults to s_lo): the
-    log-magnitude Re(izs - i omega(z)) is affine in s, so the rays, the
-    reference level and the tail march take its maximum over the two ends,
-    the detour takes s_lo, and the bend radius and the phase knots take
-    max |s|.
+    One contour serves every s in [s_lo, s_hi]: the log-magnitude
+    Re(izs - i omega(z)) is affine in s, so the rays and the tail march
+    take its maximum over the two ends, the detour takes s_lo, and the
+    bend radius and the phase knots take max |s|; the real-axis cut does
+    not depend on s.
     """
-    if s_hi is None:
-        s_hi = s_lo
     s_abs = max(abs(s_lo), abs(s_hi))
     n = omega.degree
     wn = abs(omega.leading)
@@ -342,21 +346,16 @@ def direct_contour(omega, m, s_lo, s_hi=None):
 
     # the real axis runs from the detour radius (from 0 with no pole) out
     radius = _arc_radius(omega, s_lo, a) if m >= 0 else 0.0
-    ref = max(0.0, exponent(1j * min(0.001, radius) if m >= 0 else 0.001j))
-
-    def logmag(z):
-        return exponent(z) - ref
-
     paths = []   # each side's knots, outward from the pole
     for sign in (-1.0, 1.0):
-        cut = _real_cut(omega, ref - TAIL_DROP, sign)
+        cut = _real_cut(omega, sign)
         bent = cut is None or cut >= a
         path = [complex(sign * u)
                 for u in _phase_knots(omega, s_abs, 0.0, radius, a if bent else cut, 1)]
         if bent:
             th = _ray_for_end(omega, exponent, sign * a, sign > 0)
             path += [sign * a + r * cmath.exp(1j * th)
-                     for r in _ray_breaks(omega, s_abs, logmag, sign * a, th)[1:]]
+                     for r in _ray_breaks(omega, s_abs, exponent, sign * a, th)[1:]]
         paths.append(path)
     left, right = paths
 
@@ -630,7 +629,6 @@ class ValidationReport:
     ok: bool
     max_gradient: float        # |Phi'| at the stationary points
     max_uphill: float          # worst Re X Phi excess over the saddle value
-    min_joint_drop: float      # Re X Phi saddle-to-joint decrease
     min_terminal_drop: float   # Re X Phi saddle-to-endpoint decrease
     max_angle_error: float     # tail angle distance to nearest admissible
 
@@ -639,9 +637,9 @@ def validate_descent(system):
     """Sample each descent segment at 64 points and check it actually descends.
 
     Valid systems satisfy: stationarity |Phi'(z_j)| ~ 0, the integrand never
-    rises above its saddle value along the path (up to slack), magnitudes at
-    the joints are down by roughly exp(-c0^2/2), tails end deep in decay, and
-    terminal ray angles sit on admissible asymptotic directions.
+    rises above its saddle value along the path (up to slack), tails end
+    deep in decay, and terminal ray angles sit on admissible asymptotic
+    directions.
     """
     phase = system.phase
     X = phase.big_x
@@ -650,7 +648,6 @@ def validate_descent(system):
 
     max_grad = 0.0
     max_uphill = -math.inf
-    min_joint = math.inf
     min_term = math.inf
     max_ang = 0.0
     for zj, cont in zip(system.points, system.contours):
@@ -660,13 +657,8 @@ def validate_descent(system):
             z = seg.start + (seg.end - seg.start) * u
             re = X * (np.real(phase.phi(z)) - ref)
             max_uphill = max(max_uphill, float(re.max()))
-        joints = (cont.segments[0].end, cont.segments[1].end)
-        for p in joints:
-            min_joint = min(min_joint, -X * (complex(phase.phi(p)).real - ref))
-        ends = (cont.segments[0].start, cont.segments[2].end)
-        for p in ends:
-            min_term = min(min_term, -X * (complex(phase.phi(p)).real - ref))
         for p in (cont.segments[0].start, cont.segments[2].end):
+            min_term = min(min_term, -X * (complex(phase.phi(p)).real - ref))
             ang = cmath.phase(p - zj)
             err = min(abs(_wrap(ang - d)) for d in dirs)
             max_ang = max(max_ang, err)
@@ -677,4 +669,4 @@ def validate_descent(system):
         and min_term >= TAIL_DROP - 1.0
         and max_ang <= 0.05
     )
-    return ValidationReport(ok, max_grad, max_uphill, min_joint, min_term, max_ang)
+    return ValidationReport(ok, max_grad, max_uphill, min_term, max_ang)

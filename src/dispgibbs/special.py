@@ -322,7 +322,8 @@ def eval_I_grid(omega, m, ys, t, method="direct"):
     a grid that raises NoConvergence, NonFinite or DegeneratePhase anywhere
     is evaluated again point by point, so it answers or raises as its
     points would alone (see _evaluate).  A one-point grid gives exactly
-    eval_I, and t = 0 gives the closed form point by point.
+    eval_I with the same method (the defaults differ: "direct" here,
+    "auto" for eval_I), and t = 0 gives the closed form point by point.
     """
     return _evaluate(omega, m, ys, t, method)[0]
 

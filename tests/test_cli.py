@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,13 @@ def test_eval_validation_failures():
     for omega in ("3:1,0:1e400", "3:1,2:nan"):   # were nan rows, and a LinAlgError
         r = run("eval", "--omega", omega, "--t", "1", "--y-grid", "-1:1:3")
         assert r.exit_code == 2 and "is not finite" in r.stderr
+    # a subnormal damping term is valid input (was "Array must not contain
+    # infs or NaNs"): the values of k^3, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run("eval", "--omega", "3:1,2:-1e-309i", "--t", "1", "--y-grid", "-1:1:3")
+    assert r.exit_code == 0, r.output
+    assert r.output == run("eval", "--omega", "3:1", "--t", "1", "--y-grid", "-1:1:3").output
 
 
 def test_kernel_values():

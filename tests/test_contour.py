@@ -63,12 +63,12 @@ def test_decay_directions_decay():
 ])
 def test_direct_contour_geometry(coeffs, m, s):
     om = normalize(coeffs)
-    cont = direct_contour(om, m, s)
+    cont = direct_contour(om, m, s, s)
     assert _connected(cont)
-    # endpoints sit deep in decay sectors: integrand ~ e^-45 there
-    ref = max(0.0, _phase_exponent(om, s, 0.001j))
+    # endpoints sit deep in decay sectors: the integrand there is e^-45
+    # below its value 1 at the pole
     for z in (cont.segments[0].start, cont.segments[-1].end):
-        assert _phase_exponent(om, s, z) - ref < -40.0
+        assert _phase_exponent(om, s, z) < -40.0
 
 
 def _phase_bound(om, s, rho, r):
@@ -90,7 +90,7 @@ _CUT_CASES = [_CUT_83, {5: 1, 4: 20 - 3j}, {4: 1, 3: 2 - 1j}, {3: 1, 2: 30 - 2j}
 ] + [{3: 1, 2: 1}, {3: -1, 2: -1.46}, {4: -1j, 3: 0.5, 1: 0.3}, {5: 1, 2: -0.5j}] + _CUT_CASES)
 def test_direct_contour_phase_budget(coeffs, m, s):
     om = normalize(coeffs)
-    segs = direct_contour(om, m, s).segments
+    segs = direct_contour(om, m, s, s).segments
     # the real-axis pieces are the ones with exactly real ends; a side bent
     # off the axis leaves it at -a or +a along a ray of two or more pieces,
     # and a side cut on the axis has no ray
@@ -111,26 +111,26 @@ def test_direct_contour_phase_budget(coeffs, m, s):
         for sg in ray:
             assert abs(_phase_bound(om, s, abs(anchor), abs(sg.end - anchor))
                        - _phase_bound(om, s, abs(anchor), abs(sg.start - anchor))) <= slack
-    ref = max(0.0, _phase_exponent(om, s, 0.001j))
     for z in (segs[0].start, segs[-1].end):
-        assert _phase_exponent(om, s, z) - ref <= -40.0
+        assert _phase_exponent(om, s, z) <= -40.0
 
 
 @pytest.mark.parametrize("coeffs", _CUT_CASES)
 def test_direct_contour_cuts_where_the_real_axis_dies(coeffs):
     # a side whose real axis dies before the bend radius ends on the axis,
-    # right where the integrand has fallen TAIL_DROP below its value by the
-    # pole; a side that does not die (the left of k^4 + (2 - i) k^3) is bent
+    # right where the integrand has fallen TAIL_DROP below its value 1 at
+    # the pole, at every s; a side that does not die (the left of
+    # k^4 + (2 - i) k^3) is bent
     om = normalize(coeffs)
-    cont = direct_contour(om, 0, 2.5)
-    assert _connected(cont)
-    ends = (cont.segments[0].start, cont.segments[-1].end)
-    assert ends[1].imag == 0 and ends[1].real > 0
-    assert (ends[0].imag == 0) == (om.coeffs[3].imag == 0)
-    ref = max(0.0, _phase_exponent(om, 2.5, 0.001j))
-    for z in ends:
-        if z.imag == 0:
-            assert abs(_phase_exponent(om, 2.5, z) - ref + TAIL_DROP) < 1e-6
+    for s in (-5.0, 2.5):
+        cont = direct_contour(om, 0, s, s)
+        assert _connected(cont)
+        ends = (cont.segments[0].start, cont.segments[-1].end)
+        assert ends[1].imag == 0 and ends[1].real > 0
+        assert (ends[0].imag == 0) == (om.coeffs[3].imag == 0)
+        for z in ends:
+            if z.imag == 0:
+                assert abs(_phase_exponent(om, s, z) + TAIL_DROP) < 1e-6
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -151,14 +151,13 @@ def test_direct_contour_never_rises_above_the_pole(n, lead, lower, m, s):
             coeffs[j] = size * sgn if j % 2 else size * complex(sgn, -damp)
     om = normalize(coeffs)
     try:
-        segs = direct_contour(om, m, s).segments
+        segs = direct_contour(om, m, s, s).segments
     except NoConvergence:
         return
-    ref = max(0.0, _phase_exponent(om, s, 0.001j))
     u = np.linspace(0.0, 1.0, 17)
     for sg in segs:
         z = sg.start + (sg.end - sg.start) * u
-        assert np.max(_phase_exponent(om, s, z)) - ref <= 1.0 + 1e-9
+        assert np.max(_phase_exponent(om, s, z)) <= 1.0 + 1e-9
 
 
 def _exact_bound(om, s, rho, r):
@@ -223,7 +222,7 @@ def test_large_direct_contour_builds_fast():
     # a dominant real k^3 term: 6,542 equal-phase pieces on the rays
     om = normalize({5: 1, 3: -28.118})
     cpu = time.process_time()
-    cont = direct_contour(om, 2, -0.2278)
+    cont = direct_contour(om, 2, -0.2278, -0.2278)
     assert time.process_time() - cpu < 0.15
     assert len(cont.segments) == 6542
 
@@ -306,12 +305,10 @@ def test_terminal_angles_admissible():
 
 def test_doubling_order_saturates():
     om = normalize({3: 1})
-    ref = max(0.0, _phase_exponent(om, 2.0, 0.001j))
-
     def f(z):
-        return np.exp(1j * z * 2.0 - 1j * om(z) - ref) / (1j * z) / (2 * np.pi)
+        return np.exp(1j * z * 2.0 - 1j * om(z)) / (1j * z) / (2 * np.pi)
 
-    cont = direct_contour(om, 0, 2.0)
+    cont = direct_contour(om, 0, 2.0, 2.0)
     twin = dataclasses.replace(cont, segments=tuple(
         dataclasses.replace(sg, order=2 * sg.order) for sg in cont.segments))
     assert abs(integrate_contour(f, cont) - integrate_contour(f, twin)) < 1e-10
@@ -390,7 +387,7 @@ def test_descent_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatc
 def test_direct_ray_ends_sit_within_the_slack_past_the_drop(coeffs, s, monkeypatch):
     # odd real symbols never die on the real axis: both sides are bent
     marches = _recorded_marches(monkeypatch)
-    direct_contour(normalize(coeffs), 0, s)
+    direct_contour(normalize(coeffs), 0, s, s)
     assert len(marches) == 2
     for vals, end in marches:
         assert _capped(vals) or _within_the_slack(-end), (coeffs, s, end)
@@ -420,8 +417,8 @@ def test_batched_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatc
 
 @pytest.mark.parametrize("build", [
     lambda: descent_system(scaled_phase(normalize({3: 1}), 12.0, 1.0)),
-    lambda: direct_contour(normalize({5: 1}), 0, 2.5),
-    lambda: direct_contour(normalize({5: 1}), 1, -5.0),
+    lambda: direct_contour(normalize({5: 1}), 0, 2.5, 2.5),
+    lambda: direct_contour(normalize({5: 1}), 1, -5.0, -5.0),
 ], ids=["k3-descent-s12", "k5-direct-s2.5", "k5-direct-s-5"])
 def test_tail_march_evaluations_stay_few(build, monkeypatch):
     # the march stops one e-fold past the drop, not after 60 halvings
@@ -452,7 +449,7 @@ def test_direct_side_already_below_the_drop_gets_no_ray(monkeypatch):
         return radii
 
     monkeypatch.setattr(contour, "_ray_breaks", counted)
-    cont = direct_contour(can, 2, s)
+    cont = direct_contour(can, 2, s, s)
     assert [anchor.real > 0 for anchor, _, _ in sides] == [False, True]
     for anchor, levels, radii in sides:
         assert len(levels) == 1 and levels[0] <= -TAIL_DROP

@@ -52,6 +52,15 @@ def test_heat_kernel_gaussian():
     x, t = 1.5, 0.3
     assert eval_kernel(HEAT, x, t) == pytest.approx(
         math.exp(-x * x / (4 * t)) / math.sqrt(4 * math.pi * t), abs=1e-13)
+    # the direct route at t = 1 (I_{heat,-1}, no detour over the pole) cuts
+    # its ends against the integrand's value 1 at the pole, so far out it
+    # answers its absolute floor
+    for s in (-3e4, -1e3, -100.0, -60.0):
+        assert abs(eval_I(HEAT, -1, s, 1.0, method="direct")) <= 1e-15, s
+    for s in (-10.0, -4.0, 0.5, 5.0):
+        want = math.exp(-s * s / 4) / math.sqrt(4 * math.pi)
+        got = eval_I(HEAT, -1, s, 1.0, method="direct")
+        assert abs(got - want) <= 1e-14 * (1 + want), s
 
 
 def test_airy_kernel():
@@ -73,6 +82,13 @@ def test_values_at_zero():
             got = eval_I(normalize({n: sgn}), 0, 0.0, 1.0)
             want = -0.5 * (1 + sgn / n)
             assert abs(got - want) < 1e-9, (n, sgn)
+    # a subnormal damping term is well posed: its real-axis cut would divide
+    # by it, and both paths answer k^3's value without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        om = normalize({3: 1, 2: -2.225073858507203e-309j})
+        for got in (eval_I(om, 0, 0.0, 1.0), eval_I_grid(om, 0, [-1.0, 0.0, 1.0], 1.0)[1]):
+            assert abs(got - (-2.0 / 3.0)) < 1e-9
 
 
 def test_zero_value_time_independence():
@@ -268,7 +284,8 @@ def test_direct_cubic_at_large_negative_s(monkeypatch):
     assert abs(eval_I({3: 1}, 0, -66.0, 1.0, method="direct") + 1.0) <= 1e-12
     # past s = -45,000 a reference level probed 0.001 above the pole would
     # sit TAIL_DROP above the real axis, and the axis would start on the
-    # pole; it is probed on the detour, and no warning leaks
+    # pole; the ends are cut against the value at the pole, and no warning
+    # leaks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (-5e4, -1e5):
