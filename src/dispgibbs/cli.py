@@ -157,7 +157,7 @@ def main():
 
 @main.command("eval")
 @click.option("--omega", required=True, help="dispersion relation, e.g. 2:0-1i or 3:1,2:-0.5i")
-@click.option("--m", default=0, show_default=True, help="pole order index (>= -1)")
+@click.option("--m", default=0, show_default=True, help="pole order index (-1 to 9)")
 @click.option("--t", required=True, type=float)
 @click.option("--y-grid", "ygrid", required=True, help="a:b:n inclusive grid")
 @click.option("--method", default="auto", show_default=True,

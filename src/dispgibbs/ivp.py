@@ -15,9 +15,7 @@ import math
 import numpy as np
 
 from .dispersion import normalize, polyder, polyval
-from .special import eval_I, eval_I_grid
-
-MAX_PIECE_DEGREE = 8
+from .special import MAX_PIECE_DEGREE, eval_I, eval_I_grid
 
 
 class NotAJump(ValueError):

@@ -22,7 +22,9 @@ through one router, _evaluate, which takes a grid of y at one
 saddle geometry or direct contour and refines its segments in lockstep.
 A grid (_grid) is always batched: one batched build of the descent
 points' saddle geometry and one quadrature rule per saddle segment, and
-one direct contour for the direct points.  One rule joins them: a grid
+one direct contour for the direct points, whose integrand takes one exp
+per block start and one per offset when their shapes are uniformly
+spaced.  One rule joins them: a grid
 that fails anywhere is evaluated again point by point through _one.
 eval_I is the one-point case, eval_I_grid the grid case.
 """
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (_saddle_angle, descent_batches, descent_system, direct_contour,
-                      guard_descent)
+from .contour import (TAIL_DROP, _saddle_angle, descent_batches, descent_system,
+                      direct_contour, guard_descent)
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
@@ -59,20 +61,25 @@ __all__ = [
 ]
 
 DESCENT_THRESHOLD = 4.0   # switch to saddle contours once |y|/u exceeds this
+MAX_PIECE_DEGREE = 8      # of an ivp piece; solve needs m up to it, ode_residual one more
 _INV_TWO_PI = 1.0 / (2.0 * math.pi)   # x * this is numpy's x / 2pi for complex x, bit for bit
 
 
 def _validate(m, ys, t, method):
     """Check a query once for its whole grid ys; returns m as an int.
 
-    m may be any integer type but bool; the checks run in the order a lone
-    point has always met them."""
+    m may be any integer type but bool, from -1 to MAX_PIECE_DEGREE + 1:
+    past that the detour's pole factor 1/(iz)^(m+1) cancels in the sum and
+    the values are wrong without warning.  The checks run in the order a
+    lone point has always met them."""
     try:
         m_int = operator.index(m)
     except TypeError:
         m_int = None
     if isinstance(m, bool) or m_int is None or m_int < -1:
         raise ValueError(f"m must be an integer >= -1, got {m!r}")
+    if m_int > MAX_PIECE_DEGREE + 1:
+        raise ValueError(f"m must be at most {MAX_PIECE_DEGREE + 1}, got {m!r}")
     if not np.isfinite(ys).all():
         raise ValueError("y must be finite")
     if not (math.isfinite(t) and t >= 0):
@@ -123,26 +130,71 @@ def _canonical(omega, y, t):
     return DispersionRelation(coeffs), (y - omega.drift * t) / u, u, factor
 
 
+def _block_rows(s, cont):
+    """Rows per block of _direct_core's integrand for the column s on cont:
+    1 unless s has four rows or more and every row s_r lies within
+    16 eps max|s| of s_0 + r h, h = (s_last - s_0) / (rows - 1).
+
+    A uniform grid takes B = isqrt(rows), lowered until (B - 1) |h| max|Im z|
+    <= TAIL_DROP over the contour's segment ends (the segments are affine,
+    so that is the maximum over the contour): a row is then within
+    e^TAIL_DROP of its block's start, and no offset factor overflows."""
+    rows = np.size(s)
+    if rows < 4:
+        return 1
+    col = np.ravel(s)
+    h = (col[-1] - col[0]) / (rows - 1)
+    slack = 16 * np.finfo(float).eps * np.abs(col).max()
+    if np.abs(col[0] + h * np.arange(rows) - col).max() > slack:
+        return 1
+    top = max(abs(p.imag) for seg in cont.segments for p in (seg.start, seg.end))
+    block = math.isqrt(rows)
+    while block > 1 and (block - 1) * abs(h) * top > TAIL_DROP:
+        block -= 1
+    return block
+
+
 def _direct_core(can, m, s):
     """Direct-route value at the shape s, or one value per row of a (points, 1)
     column s of shapes, all on one contour built for the range of s; returns
     (value, contour).
 
     Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
-    whole column as one (points, nodes) matrix, with a single exp of the
-    combined phase so that every point overflows exactly where it would
-    alone.
+    whole column as one (points, nodes) matrix.  A lone point, or a column
+    that is not uniform, takes a single exp of the combined phase per value.
+    A uniform column (_block_rows) is cut into blocks of B rows, row
+    s_b + d_j of block b taking exp(izs_b - i omega(z)) times
+    exp(izd_j) / (iz)^(m+1) / 2pi: R/B + B exps per node for R rows.  The
+    block starts s_b are rows of s and keep the single exp of the combined
+    phase, and an offset factor scales a row by at most e^TAIL_DROP, so a
+    row overflows where it would alone, up to rounding at the threshold.
     """
-    def f(z):
-        val = 1j * z * s              # in place from here: the batch is large
-        val -= 1j * can(z)
-        np.exp(val, out=val)
-        if m >= 0:
-            val /= (1j * z) ** (m + 1)
-        val *= _INV_TWO_PI
-        return val
-
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
+    block = _block_rows(s, cont)
+    if block == 1:
+        def f(z):
+            val = 1j * z * s              # in place from here: the batch is large
+            val -= 1j * can(z)
+            np.exp(val, out=val)
+            if m >= 0:
+                val /= (1j * z) ** (m + 1)
+            val *= _INV_TWO_PI
+            return val
+    else:
+        starts, offsets, rows = s[::block], s[:block] - s[0], len(s)
+
+        def f(z):
+            head = 1j * z * starts
+            head -= 1j * can(z)
+            np.exp(head, out=head)
+            tail = 1j * z * offsets
+            np.exp(tail, out=tail)
+            if m >= 0:
+                tail /= (1j * z) ** (m + 1)
+            tail *= _INV_TWO_PI
+            val = head[:, None, :] * tail   # (blocks, B, nodes)
+            return val.reshape(-1, z.shape[-1])[:rows]
+
     with np.errstate(all="ignore"):
         return integrate_contour(f, cont), cont
 

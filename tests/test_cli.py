@@ -70,6 +70,10 @@ def test_eval_validation_failures():
         r = run("eval", "--omega", "3:1,2:-1e-309i", "--t", "1", "--y-grid", "-1:1:3")
     assert r.exit_code == 0, r.output
     assert r.output == run("eval", "--omega", "3:1", "--t", "1", "--y-grid", "-1:1:3").output
+    # past the largest pole order the package uses, values were silently
+    # wrong (about 6e83 here, exit 0)
+    r = run("eval", "--omega", "3:1", "--m", "200", "--t", "1", "--y-grid", "-1:1:3")
+    assert r.exit_code == 2 and "m must be at most 9" in r.stderr
 
 
 def test_kernel_values():

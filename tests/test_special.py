@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import airy, erf, erfc
 
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
                        ode_residual, quadrature, residue_part, special)
 from dispgibbs.contour import (Contour, Segment, descent_batches, descent_system,
-                               guard_descent)
+                               direct_contour, guard_descent)
 from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL, FROZEN_MIXED
@@ -420,6 +422,27 @@ def test_m_takes_any_integer_type_but_bool():
             eval_I_grid(om, bad, ys, 1.0)
 
 
+def test_m_is_refused_past_the_largest_pole_order_the_package_uses():
+    # solve needs m up to the piece degree cap and ode_residual one more;
+    # past that the direct route's pole factor cancels without warning
+    # (heat, m = 20, y = 1, t = 1 was off by 157 times the value)
+    from dispgibbs import ivp
+    assert ivp.MAX_PIECE_DEGREE is special.MAX_PIECE_DEGREE
+    top = special.MAX_PIECE_DEGREE + 1
+    assert top == 9
+    for m in (top + 1, np.int64(20), 200):
+        with pytest.raises(ValueError, match=f"m must be at most {top}"):
+            eval_I(HEAT, m, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"m must be at most {top}"):
+            eval_I_grid(HEAT, m, [-1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match=f"m must be at most {top}"):
+            eval_I(HEAT, m, -1.0, 0.0)
+    # m = 9 still answers, to 6.3e-10 relative: against
+    # -(1/2) (-1)^m (2 sqrt t)^m i^m erfc(y / 2 sqrt t) (mpmath, 40 digits)
+    want = 0.0009444541307506946
+    assert abs(eval_I(HEAT, top, 1.0, 1.0) - want) <= 1e-9 * want
+
+
 ROUTE_SYMBOLS = dict(GRID_SYMBOLS, quartic={4: -1j, 2: 0.3})
 
 
@@ -662,3 +685,57 @@ def test_lone_direct_query_shares_rules_through_the_hook(monkeypatch):
     seen = {pair for start, end in rules
             for pair in (zip(start, end) if isinstance(start, tuple) else [(start, end)])}
     assert seen == {(sg.start, sg.end) for sg in contour.segments}
+
+
+def _shuffled_values(om, m, ys):
+    """eval_I_grid's direct values at ys and at the same points shuffled
+    (put back in grid order), with the contours each integrated, and
+    _block_rows of both on their shared contour: a shuffled grid has the
+    ordered one's range, so its contour, and is not uniform."""
+    order = np.random.default_rng(len(ys)).permutation(len(ys))
+    got, conts = special._evaluate(om, m, ys, 1.0, "direct")
+    mixed, mixed_conts = special._evaluate(om, m, ys[order], 1.0, "direct")
+    want = np.empty_like(mixed)
+    want[order] = mixed
+    can, s, _, _ = special._canonical(normalize(om), ys, 1.0)
+    cont = direct_contour(can, m, float(s.min()), float(s.max()))
+    blocks = (special._block_rows(s[:, None], cont),
+              special._block_rows(s[order][:, None], cont))
+    return got, want, len(conts), len(mixed_conts), blocks
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 9), lead=st.integers(0, 3),
+       lower=st.lists(st.tuples(st.integers(0, 8), st.floats(-2.0, 0.7),
+                                st.floats(-1.0, 1.0), st.floats(0.0, 1.0)), max_size=2),
+       m=st.integers(-1, 2), rows=st.integers(8, 600), lo=st.floats(-12.0, 10.0),
+       width=st.floats(0.5, 20.0), descending=st.booleans())
+def test_blocked_direct_integrand_matches_the_unblocked_one(n, lead, lower, m, rows, lo,
+                                                            width, descending):
+    # a uniform grid factors its integrand into block starts and offsets;
+    # the same points shuffled take one exp per value, on the same contour
+    coeffs = {n: (1.0, -1.0, -1j, complex(math.cos(0.3), -math.sin(0.3)))[lead]
+              if n % 2 == 0 else (-1.0) ** lead}
+    for j, size, sgn, damp in lower:
+        if j < n:
+            size = 10.0 ** size
+            coeffs[j] = size * sgn if j % 2 else size * complex(sgn, -damp)
+    ys = np.linspace(lo, lo + width, rows)[::-1 if descending else 1]
+    got, want, conts, mixed_conts, (block, mixed_block) = _shuffled_values(
+        normalize(coeffs), m, ys)
+    assert mixed_block == 1 < block <= math.isqrt(rows)
+    assert conts == mixed_conts == 1
+    assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("rows", [16, 25])
+def test_blocked_direct_integrand_on_a_coarse_wide_grid(rows):
+    # for k^2 over s in [-100, 100] the contour climbs to |Im z| = 1.39, so
+    # isqrt(rows) rows a block would span more than TAIL_DROP e-folds: the
+    # block shrinks, and the grid answers on its one contour
+    for m in (0, 1):
+        got, want, conts, mixed_conts, (block, mixed_block) = _shuffled_values(
+            SCHRO, m, np.linspace(-100.0, 100.0, rows))
+        assert mixed_block == 1 < block < math.isqrt(rows)
+        assert conts == mixed_conts == 1
+        assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
