@@ -23,13 +23,13 @@ Three families:
   of the pieces is homotopic to the full path, but every segment now decays,
   which preserves *relative* accuracy even when exp(X Phi(z_j)) is 1e-100.
   ``descent_batches`` builds the same systems for a whole grid of shapes in
-  one vectorised pass; a one-point query keeps ``descent_system``.  A
-  descent system is integrated only when it passes four guards (its
-  segments keep clear of the pole, none comes closer to it than 5% of the
-  nearest saddle's distance to it, none is too long for its distance to
-  the pole, and the saddles are far enough apart for the quadratic
-  scaling), written once in ``_guards``: ``descent_batches`` applies them
-  row by row, and ``guard_descent`` to a lone system.
+  one vectorised pass; a one-point query keeps ``descent_system``.  Both
+  return only systems that pass four guards (their segments keep clear of
+  the pole, none comes closer to it than 5% of the nearest saddle's
+  distance to it, none is too long for its distance to the pole, and the
+  saddles are far enough apart for the quadratic scaling), written once in
+  ``_guards``: ``descent_batches`` applies them row by row, and
+  ``descent_system`` to the system it has built.
 """
 
 import cmath
@@ -51,7 +51,6 @@ __all__ = [
     "DescentSystem",
     "descent_system",
     "descent_batches",
-    "guard_descent",
     "validate_descent",
     "ValidationReport",
 ]
@@ -396,8 +395,11 @@ def _saddle_angle(phase, zj):
     return phi2, _central_angle(phi2)
 
 
-def descent_system(phase):
-    """One contour per stationary point, central segment + two decay rays.
+def descent_system(phase, m, guarded):
+    """One contour per stationary point, central segment + two decay rays,
+    for the integrand of pole order m + 1; raises DegeneratePhase with the
+    first of the GUARDS the system fails (see _guards, where m and guarded
+    select the guards that apply).
 
     Central half-width h_j = c0 / sqrt(X |Phi''(z_j)|), c0 = JOINT_WIDTH,
     makes the integrand drop by exp(-c0^2/2) by the joints; each tail runs from a joint to a
@@ -451,6 +453,12 @@ def descent_system(phase):
             Segment(p_minus, p_plus, CENTRAL_ORDER),
             Segment(p_plus, q_plus, TAIL_ORDER),
         ), label=f"descent-{j}"))
+    ends = np.array([[[(sg.start, sg.end) for sg in c.segments] for c in contours]])
+    with np.errstate(all="ignore"):
+        first = _guards(phase.phi, np.asarray(X), phase.wcoeffs, np.array([pts]),
+                        ends[..., 0], ends[..., 1], m, guarded)[0]
+    if first >= 0:
+        raise DegeneratePhase(GUARDS[first])
     return DescentSystem(phase, tuple(pts), tuple(contours))
 
 
@@ -522,22 +530,9 @@ def _guards(phi, X, W, P, a, b, m, guarded):
     return np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
 
 
-def guard_descent(system, m, guarded):
-    """The lone descent_system `system` once it passes the GUARDS (see
-    _guards); raises DegeneratePhase with the first guard it fails."""
-    phase = system.phase
-    ends = np.array([[[(sg.start, sg.end) for sg in c.segments] for c in system.contours]])
-    with np.errstate(all="ignore"):
-        first = _guards(phase.phi, np.asarray(phase.big_x), phase.wcoeffs, np.array([system.points]),
-                        ends[..., 0], ends[..., 1], m, guarded)[0]
-    if first >= 0:
-        raise DegeneratePhase(GUARDS[first])
-    return system
-
-
 def descent_batches(phase, m, guarded):
-    """descent_system and guard_descent for every row of a phase from
-    scaled_phase_rows at once.
+    """descent_system for every row of a phase from scaled_phase_rows at
+    once.
 
     Each row gets descent_system's geometry, checks and thresholds and the
     GUARDS, on arrays: one stacked solve for the stationary points, then

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .dispersion import normalize
 from .quadrature import clenshaw_curtis_rule, integrate_segment
 from .special import eval_I, eval_I_grid  # noqa: F401  (perfbench/tracing.py wraps gibbs.eval_I)
 
@@ -82,7 +83,7 @@ def overshoot(n, sigma=1.0, t=1.0):
     n = int(n)
     if n < 2:
         raise ValueError("need a dispersive monomial, n >= 2")
-    omega = {n: sigma}
+    omega = normalize({n: sigma})   # refuses n > MAX_DEGREE before the scan is built
     u = (abs(sigma) * t) ** (1.0 / n)
     L = max(10.0, 2.0 * n)
     ys = np.arange(-L, L + 1e-12, 0.1) * u

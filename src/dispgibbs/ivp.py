@@ -10,6 +10,7 @@ universal Gibbs profile.
 """
 
 import bisect
+import cmath
 import math
 
 import numpy as np
@@ -37,10 +38,10 @@ class PiecewisePolynomialIC:
     """Compactly supported piecewise polynomial q_o.
 
     breakpoints: strictly increasing reals c_1 < ... < c_N; pieces: N-1
-    ascending coefficient tuples, piece i living on (c_i, c_{i+1}); the
-    function vanishes outside [c_1, c_N].  Evaluation uses the
-    right-continuous convention at the breakpoints themselves (the evolution
-    never looks at those single points).
+    ascending tuples of finite coefficients, piece i living on
+    (c_i, c_{i+1}); the function vanishes outside [c_1, c_N].  Evaluation
+    uses the right-continuous convention at the breakpoints themselves (the
+    evolution never looks at those single points).
     """
 
     def __init__(self, breakpoints, pieces):
@@ -59,6 +60,8 @@ class PiecewisePolynomialIC:
             if len(p) > MAX_PIECE_DEGREE + 1:
                 raise ValueError(
                     f"piece degree {len(p) - 1} exceeds the cap {MAX_PIECE_DEGREE}")
+            if not all(cmath.isfinite(c) for c in p):
+                raise ValueError(f"piece coefficients must be finite, got {p}")
         self.breakpoints = bps
         self.pieces = ps
 

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (TAIL_DROP, _saddle_angle, descent_batches, descent_system,
-                      direct_contour, guard_descent)
+from .contour import TAIL_DROP, _saddle_angle, descent_batches, descent_system, direct_contour
 from .dispersion import (
     DegeneratePhase,
     DispersionRelation,
@@ -130,6 +129,14 @@ def _canonical(omega, y, t):
     return DispersionRelation(coeffs), (y - omega.drift * t) / u, u, factor
 
 
+def _pole_factor(val, z, m):
+    """val times 1/(iz)^(m+1) (for m >= 0) and 1/2pi, in place; returns val."""
+    if m >= 0:
+        val /= (1j * z) ** (m + 1)
+    val *= _INV_TWO_PI
+    return val
+
+
 def _block_rows(s, cont):
     """Rows per block of _direct_core's integrand for the column s on cont:
     1 unless s has four rows or more and every row s_r lies within
@@ -160,40 +167,29 @@ def _direct_core(can, m, s):
     (value, contour).
 
     Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
-    whole column as one (points, nodes) matrix.  A lone point, or a column
-    that is not uniform, takes a single exp of the combined phase per value.
-    A uniform column (_block_rows) is cut into blocks of B rows, row
-    s_b + d_j of block b taking exp(izs_b - i omega(z)) times
-    exp(izd_j) / (iz)^(m+1) / 2pi: R/B + B exps per node for R rows.  The
-    block starts s_b are rows of s and keep the single exp of the combined
-    phase, and an offset factor scales a row by at most e^TAIL_DROP, so a
-    row overflows where it would alone, up to rounding at the threshold.
+    whole column as one (points, nodes) matrix, in one integrand.  The
+    column is cut into blocks of B rows (_block_rows), and each block start
+    s_b, a row of s, takes a single exp of the combined phase.  With B = 1
+    (a lone point, or a column that is not uniform) that exp is the value
+    and only the pole factor (_pole_factor) follows; otherwise row s_b + d_j
+    of block b takes exp(izs_b - i omega(z)) times exp(izd_j) / (iz)^(m+1)
+    / 2pi: R/B + B exps per node for R rows.  An offset factor scales a row
+    by at most e^TAIL_DROP, so a row overflows where it would alone, up to
+    rounding at the threshold.
     """
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
     block = _block_rows(s, cont)
-    if block == 1:
-        def f(z):
-            val = 1j * z * s              # in place from here: the batch is large
-            val -= 1j * can(z)
-            np.exp(val, out=val)
-            if m >= 0:
-                val /= (1j * z) ** (m + 1)
-            val *= _INV_TWO_PI
-            return val
-    else:
-        starts, offsets, rows = s[::block], s[:block] - s[0], len(s)
+    starts, offsets = (s, None) if block == 1 else (s[::block], s[:block] - s[0])
 
-        def f(z):
-            head = 1j * z * starts
-            head -= 1j * can(z)
-            np.exp(head, out=head)
-            tail = 1j * z * offsets
-            np.exp(tail, out=tail)
-            if m >= 0:
-                tail /= (1j * z) ** (m + 1)
-            tail *= _INV_TWO_PI
-            val = head[:, None, :] * tail   # (blocks, B, nodes)
-            return val.reshape(-1, z.shape[-1])[:rows]
+    def f(z):
+        val = 1j * z * starts             # in place from here: the batch is large
+        val -= 1j * can(z)
+        np.exp(val, out=val)
+        if block == 1:
+            return _pole_factor(val, z, m)
+        tail = np.exp(1j * z * offsets)    # (B, nodes): small, so not in place
+        val = val[:, None, :] * _pole_factor(tail, z, m)   # (blocks, B, nodes)
+        return val.reshape(-1, z.shape[-1])[:len(s)]
 
     with np.errstate(all="ignore"):
         return integrate_contour(f, cont), cont
@@ -234,10 +230,7 @@ def _descent_core(can, m, s, system):
                 np.multiply(X, arg, out=val)
                 val -= _c
                 np.exp(val, out=val)
-                if m >= 0:
-                    val /= (1j * z) ** (m + 1)
-                val *= _INV_TWO_PI
-                return val
+                return _pole_factor(val, z, m)
 
             total = total + integrate_contour(g, cont) * np.exp(c_ref)
 
@@ -292,17 +285,17 @@ def _one(can, m, s, method):
     """Unscaled value at one shape s, as a 1-element array, and the
     contours integrated.
 
-    The descent route builds the point's own saddle geometry
-    (descent_system, then guard_descent) and integrates its segments in
-    lockstep; under auto a point whose geometry fails its guards
-    (DegeneratePhase) or whose descent quadrature does not converge
+    The descent route builds the point's own saddle geometry, checked
+    against the guards in the same call (descent_system), and integrates
+    its segments in lockstep; under auto a point whose geometry fails its
+    guards (DegeneratePhase) or whose descent quadrature does not converge
     (NoConvergence) takes the direct route instead.  NonFinite is raised.
     """
     if method == "descent" or (method == "auto" and abs(s) >= DESCENT_THRESHOLD):
         try:
             if s == 0:
                 raise DegeneratePhase("descent evaluation needs y != 0")
-            system = guard_descent(descent_system(scaled_phase(can, s, 1.0)), m, method == "auto")
+            system = descent_system(scaled_phase(can, s, 1.0), m, method == "auto")
             return _descent_core(can, m, [s], system), list(system.contours)
         except (DegeneratePhase, NoConvergence):
             if method == "descent":
@@ -361,7 +354,7 @@ def eval_I(omega, m, y, t, method="auto"):
                  contour passes within 1e-3 of the pole or a segment is too
                  long for its distance to the pole to converge by the order
                  cap (under auto these and two more guards of
-                 contour.guard_descent send the point to direct).
+                 contour.descent_system send the point to direct).
 
     This is the one-point case of eval_I_grid.
     """

@@ -136,6 +136,20 @@ def test_solve_ic_validation():
     assert r.exit_code == 0
 
 
+@pytest.mark.parametrize("text", [
+    '{"breakpoints": [-1, 1], "pieces": [[Infinity]]}',
+    '{"breakpoints": [-1, 0, 1], "pieces": [[NaN], [1.0]]}',
+])
+def test_solve_non_finite_ic_file_is_a_usage_error(tmp_path, text):
+    # json reads NaN and Infinity; the jumps they make were dropped silently
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    r = run("solve", "--omega", "2:-1i", "--ic", str(path), "--t", "0.1",
+            "--x-grid", "-2:2:5")
+    assert r.exit_code == 2
+    assert "must be finite" in r.stderr
+
+
 def test_gibbs_table_csv_roundtrip():
     r = run("gibbs-table", "--n", "2")
     assert r.exit_code == 0
@@ -159,6 +173,8 @@ def test_gibbs_table_other_formats():
     assert run("gibbs-table", "--n", "1").exit_code == 2
     assert run("gibbs-table", "--n", "2;3").exit_code == 2
     assert run("gibbs-table", "--n", "3", "--sigma", "nan").exit_code == 2
+    r = run("gibbs-table", "--n", "100000")
+    assert r.exit_code == 2 and "beyond supported maximum" in r.stderr
 
 
 def test_contour_dump_connected():

@@ -229,7 +229,7 @@ def test_large_direct_contour_builds_fast():
 
 def test_descent_heat_single_contour_at_quarter_angle():
     ph = scaled_phase(normalize({2: 1}), 1.0, 1.0)
-    sysd = descent_system(ph)
+    sysd = descent_system(ph, -1, False)
     assert len(sysd.contours) == 1
     assert sysd.points[0] == pytest.approx(0.5)
     central = sysd.contours[0].segments[1]
@@ -243,7 +243,7 @@ def test_descent_heat_single_contour_at_quarter_angle():
 def test_descent_stokes_tails_reach_admissible_angles():
     # omega = k^3, x < 0: one saddle at i/sqrt(3), tails toward pi/6, 5pi/6
     ph = scaled_phase(normalize({3: 1}), -1.0, 1.0)
-    sysd = descent_system(ph)
+    sysd = descent_system(ph, -1, False)
     assert len(sysd.contours) == 1
     zj = sysd.points[0]
     assert zj == pytest.approx(1j / math.sqrt(3))
@@ -259,7 +259,7 @@ def test_descent_stokes_tails_reach_admissible_angles():
     ({3: 1}, -2.0, 0.25), ({4: 1, 3: 2}, 1.0, 1e-3), ({5: 1}, 6.0, 1.0),
 ])
 def test_validate_descent_passes(coeffs, x, t):
-    sysd = descent_system(scaled_phase(normalize(coeffs), x, t))
+    sysd = descent_system(scaled_phase(normalize(coeffs), x, t), -1, False)
     report = validate_descent(sysd)
     assert report.ok
     # max Re X Phi along each contour is attained at the saddle
@@ -269,7 +269,7 @@ def test_validate_descent_passes(coeffs, x, t):
 
 def test_validate_descent_flags_wrong_angle():
     ph = scaled_phase(normalize({2: 1}), 9.0, 1.0)
-    sysd = descent_system(ph)
+    sysd = descent_system(ph, -1, False)
     # rotate the central segment to the ascent direction; keep the tails
     from dispgibbs import Contour, Segment
     zj = sysd.points[0]
@@ -293,7 +293,7 @@ def test_terminal_angles_admissible():
                       ({4: -1j}, 6.0)]:
         om = normalize(coeffs)
         ph = scaled_phase(om, x, 1.0)
-        sysd = descent_system(ph)
+        sysd = descent_system(ph, -1, False)
         dirs = decay_directions(om.degree, om.leading * ph.sigma ** om.degree)
         for cont, zj in zip(sysd.contours, sysd.points):
             for tip in (cont.segments[0].start, cont.segments[-1].end):
@@ -354,7 +354,7 @@ def _lone_descent(om, y, monkeypatch):
     when its geometry fails."""
     marches = _recorded_marches(monkeypatch)
     try:
-        return descent_system(scaled_phase(om, y, 1.0)), marches
+        return descent_system(scaled_phase(om, y, 1.0), -1, False), marches
     except DegeneratePhase:
         return None, marches
 
@@ -416,7 +416,7 @@ def test_batched_tail_ends_sit_within_the_slack_past_the_drop(coeffs, monkeypatc
 
 
 @pytest.mark.parametrize("build", [
-    lambda: descent_system(scaled_phase(normalize({3: 1}), 12.0, 1.0)),
+    lambda: descent_system(scaled_phase(normalize({3: 1}), 12.0, 1.0), -1, False),
     lambda: direct_contour(normalize({5: 1}), 0, 2.5, 2.5),
     lambda: direct_contour(normalize({5: 1}), 1, -5.0, -5.0),
 ], ids=["k3-descent-s12", "k5-direct-s2.5", "k5-direct-s-5"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ def test_overshoot_monotone_in_n(report3):
 def test_overshoot_validation():
     with pytest.raises(ValueError):
         overshoot(1)
+
+
+def test_overshoot_refuses_a_large_degree_before_its_scan():
+    # the scan over [-2n, 2n] would take 32 MB at n = 10^5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="beyond supported maximum"):
+            overshoot(10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_overshoot_table(report3):

@@ -73,6 +73,18 @@ def test_degree_cap():
         PiecewisePolynomialIC((1.0, 0.0), ((1.0,),))
 
 
+@pytest.mark.parametrize("breakpoints, pieces", [
+    ([-1, 1], [[math.inf]]),
+    ([-1, 0, 1], [[math.nan], [1.0]]),
+    ([-1, 1], [[1.0, complex(0.0, -math.inf)]]),
+    ([-1, 0, 1], [[1.0], [0.5, complex(math.nan, 1.0)]]),
+])
+def test_non_finite_coefficients_are_refused(breakpoints, pieces):
+    # jump_decomposition drops nan and inf jumps, so they must not get in
+    with pytest.raises(ValueError, match="must be finite"):
+        PiecewisePolynomialIC(breakpoints, pieces)
+
+
 def test_heat_box_matches_error_function():
     # box under the heat flow: (erf((x+1)/2 sqrt t) - erf((x-1)/2 sqrt t)) / 2
     ic = box()

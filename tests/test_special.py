@@ -11,8 +11,7 @@ from scipy.special import airy, erf, erfc
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
                        eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
                        ode_residual, quadrature, residue_part, special)
-from dispgibbs.contour import (Contour, Segment, descent_batches, descent_system,
-                               direct_contour, guard_descent)
+from dispgibbs.contour import Contour, Segment, descent_batches, descent_system, direct_contour
 from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
 
 from _frozen import E_HEAT_M0_S2, FROZEN_I, FROZEN_KERNEL, FROZEN_MIXED
@@ -247,7 +246,7 @@ def test_asymptotic_needs_only_the_saddles(n, s):
     # stationary-phase sum reads only the saddles; its error is of the size
     # of its first neglected term
     with pytest.raises(DegeneratePhase, match="growth ridge"):
-        descent_system(scaled_phase(normalize({n: 1}), s, 1.0))
+        descent_system(scaled_phase(normalize({n: 1}), s, 1.0), -1, False)
     for m in (-1, 0):
         av = asymptotic_I({n: 1}, m, s, 1.0)
         err = abs(av.total - eval_I({n: 1}, m, s, 1.0))
@@ -511,7 +510,7 @@ def _batched_matches_lone(om, m, ys, t, guarded):
     outcome = [0, 0]
     for i, si in enumerate(s.tolist()):
         try:
-            lone = guard_descent(descent_system(scaled_phase(can, si, 1.0)), m, guarded) if si else None
+            lone = descent_system(scaled_phase(can, si, 1.0), m, guarded) if si else None
         except DegeneratePhase:
             lone = None
         assert (lone is None) == (i not in built), (si, m, guarded)
