@@ -16,9 +16,9 @@ from .contour import (Contour, Segment, decay_directions, descent_system,
                       direct_contour, pole_avoiding_contour, validate_descent)
 from .special import (AsymptoticValue, asymptotic_I, eval_E, eval_I,
                       eval_I_grid, eval_kernel, ode_residual, residue_part)
-from .ivp import (JumpDecomposition, NotAJump, PiecewisePolynomialIC,
-                  PieceTooShallow, box, jump_decomposition, rescaled_profile,
-                  smoothed_box, solve, taylor_away, tent)
+from .ivp import (NotAJump, PiecewisePolynomialIC, PieceTooShallow, box,
+                  jump_decomposition, rescaled_profile, smoothed_box, solve,
+                  taylor_away, tent)
 from .gibbs import (OvershootReport, fourier_gibbs_reference, overshoot,
                     overshoot_table, wilbraham_gibbs_constant)
 
@@ -34,8 +34,8 @@ __all__ = [
     "descent_system", "validate_descent", "decay_directions",
     "eval_I", "eval_I_grid", "eval_E", "eval_kernel", "residue_part",
     "asymptotic_I", "AsymptoticValue", "ode_residual",
-    "PiecewisePolynomialIC", "JumpDecomposition", "NotAJump",
-    "PieceTooShallow", "box", "tent", "smoothed_box", "jump_decomposition",
+    "PiecewisePolynomialIC", "NotAJump", "PieceTooShallow", "box", "tent",
+    "smoothed_box", "jump_decomposition",
     "solve", "taylor_away", "rescaled_profile",
     "OvershootReport", "overshoot", "overshoot_table",
     "wilbraham_gibbs_constant", "fourier_gibbs_reference",

@@ -35,6 +35,9 @@ from .ivp import PiecewisePolynomialIC, box, smoothed_box, solve, tent
 from .gibbs import overshoot, overshoot_table, wilbraham_gibbs_constant
 
 NUMERICAL_ERRORS = (NoConvergence, NonFinite, DegeneratePhase)
+# a grid's quadrature rule is one (points x nodes) complex matrix: about
+# 100 MB at this cap and order 64
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(x):
@@ -51,6 +54,8 @@ def _parse_grid(text):
         raise click.UsageError(f"grid must be a:b:n with numeric fields, got {text!r}")
     if n < 2:
         raise click.UsageError("grids need at least 2 points")
+    if n > MAX_GRID_POINTS:
+        raise click.UsageError(f"grids hold at most {MAX_GRID_POINTS} points, got {n}")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise click.UsageError("grid endpoints must be finite with a < b")
     return np.linspace(a, b, n)

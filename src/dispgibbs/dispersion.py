@@ -333,6 +333,18 @@ def expected_stationary_count(n, wlead):
     return (n + 1) // 2 if wlead.real > 0 else (n - 1) // 2
 
 
+def _polish(f, roots):
+    """roots after two Newton steps on the polynomial f (ascending, scalar or
+    column coefficients), skipping the roots where |f'| <= 1e-30; in place."""
+    df = polyder(f)
+    for _ in range(2):
+        fz = polyval(f, roots)
+        dfz = polyval(df, roots)
+        ok = np.abs(dfz) > 1e-30
+        roots[ok] -= fz[ok] / dfz[ok]
+    return roots
+
+
 def stationary_points(phase):
     """Stationary points of Phi in the closed UHP, counterclockwise from 0+.
 
@@ -343,14 +355,7 @@ def stationary_points(phase):
     """
     dw = polyder(phase.wcoeffs)
     f = (dw[0] - 1.0,) + dw[1:]  # W'(z) - 1, ascending
-    roots = np.roots(np.array(f[::-1], dtype=complex))
-    # Newton polish on f
-    df = polyder(f)
-    for _ in range(2):
-        fz = polyval(f, roots)
-        dfz = polyval(df, roots)
-        ok = np.abs(dfz) > 1e-30
-        roots[ok] -= fz[ok] / dfz[ok]
+    roots = _polish(f, np.roots(np.array(f[::-1], dtype=complex)))
 
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -386,13 +391,7 @@ def stationary_point_rows(phase):
     comp = np.zeros((rows, deg, deg), dtype=complex)
     comp[:, 1:, :-1] = np.eye(deg - 1)
     comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-    roots = np.linalg.eigvals(comp)
-    df = polyder(f)
-    for _ in range(2):
-        fz = polyval(f, roots)
-        dfz = polyval(df, roots)
-        ok = np.abs(dfz) > 1e-30
-        roots[ok] -= fz[ok] / dfz[ok]
+    roots = _polish(f, np.linalg.eigvals(comp))
 
     gap = np.abs(roots[:, :, None] - roots[:, None, :])
     near = gap < COLLISION_TOL * np.maximum(1.0, np.abs(roots))[:, :, None]

@@ -4,9 +4,9 @@ A piecewise-polynomial initial condition has an entire Fourier transform, so
 the solution of i q_t - omega(-i d_x) q = 0 collapses to a finite sum of the
 kernel integrals evaluated by :mod:`dispgibbs.special`: one term per
 (breakpoint, derivative-jump) pair.  This module holds the data type, the
-jump bookkeeping, the exact solver, the short-time Taylor expansion valid
-away from the breakpoints, and the jump-local rescaling that exposes the
-universal Gibbs profile.
+jumps (jump_decomposition: a plain dict {(c, m): J}), the exact solver, the
+short-time Taylor expansion valid away from the breakpoints, and the
+jump-local rescaling that exposes the universal Gibbs profile.
 """
 
 import bisect
@@ -80,13 +80,18 @@ class PiecewisePolynomialIC:
         x = float(x)
         return polyval(self.piece_at(x), x)
 
-    def derivative_jump(self, c, m):
-        """[q_o^{(m)}(c)] = right minus left derivative, exactly from coefficients."""
+    def _sides(self, c, m):
+        """m-th derivatives at breakpoint c of the pieces left and right of it
+        (zero outside the support), from the coefficients."""
         i = self.breakpoints.index(c)
         left = self.pieces[i - 1] if i > 0 else ()
         right = self.pieces[i] if i < len(self.pieces) else ()
-        return (polyval(polyder(right, m), c)
-                - polyval(polyder(left, m), c))
+        return polyval(polyder(left, m), c), polyval(polyder(right, m), c)
+
+    def derivative_jump(self, c, m):
+        """[q_o^{(m)}(c)] = right minus left derivative, exactly from coefficients."""
+        left, right = self._sides(c, m)
+        return right - left
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomialIC):
@@ -133,54 +138,30 @@ def smoothed_box(delta):
     return PiecewisePolynomialIC((-1.0 - d, -1.0, 1.0), (ramp, (1.0,)))
 
 
-class JumpDecomposition:
-    """Nonzero derivative jumps of an IC: entries (c, m, [q_o^{(m)}(c)])."""
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def at(self, c, m):
-        for ci, mi, j in self.entries:
-            if ci == c and mi == m:
-                return j
-        return 0j
-
-    def __repr__(self):
-        return f"JumpDecomposition({self.entries!r})"
-
-
 def jump_decomposition(ic):
-    """All nonzero derivative jumps of ic, orders 0..max piece degree.
+    """All nonzero derivative jumps of ic, orders 0..max piece degree, as a
+    dict {(c, m): [q_o^{(m)}(c)]} ordered by breakpoint, then by m.
 
     Jumps are differences of exact coefficient arithmetic; values that only
     differ by rounding in the piece coefficients (a smoothed ramp meeting its
     plateau, say) are dropped relative to the one-sided derivative sizes.
     """
     top = max((len(p) - 1 for p in ic.pieces), default=0)
-    entries = []
-    for i, c in enumerate(ic.breakpoints):
-        left = ic.pieces[i - 1] if i > 0 else ()
-        right = ic.pieces[i] if i < len(ic.pieces) else ()
+    jumps = {}
+    for c in ic.breakpoints:
         for m in range(top + 1):
-            lv = polyval(polyder(left, m), c)
-            rv = polyval(polyder(right, m), c)
+            lv, rv = ic._sides(c, m)
             jump = rv - lv
             if abs(jump) > 1e-9 * (abs(lv) + abs(rv) + 1.0):
-                entries.append((c, m, jump))
-    return JumpDecomposition(entries)
+                jumps[c, m] = jump
+    return jumps
 
 
 def solve(ic, omega, x, t, method="auto"):
     """q(x, t) for i q_t - omega(-i d_x) q = 0 with q(x, 0) = ic(x).
 
     The solution is the exact finite superposition
-    q(x,t) = sum_{(c,m,J)} J * I_{omega,m}(x - c, t); constant and linear
+    q(x,t) = sum_{(c,m): J} J * I_{omega,m}(x - c, t); constant and linear
     parts of omega enter through the phase/drift handling inside eval_I.
     At t = 0 the sum telescopes back to the piece value, so x must then
     stay off the breakpoints (no canonical value exists there).
@@ -195,7 +176,7 @@ def solve(ic, omega, x, t, method="auto"):
         raise ValueError("x must be a scalar or a 1-D grid")
     grid = xs.reshape(-1)
     total = np.zeros(grid.shape, dtype=complex)
-    for c, m, jump in jump_decomposition(ic):
+    for (c, m), jump in jump_decomposition(ic).items():
         total += jump * eval_I_grid(om, m, grid - c, t, method=method)
     return total if xs.ndim else total[0]
 
@@ -264,7 +245,7 @@ def rescaled_profile(ic, omega, c, x_grid, t):
     if t <= 0:
         raise ValueError("the rescaled profile needs t > 0")
     c = float(c)
-    jump = jump_decomposition(ic).at(c, 0)
+    jump = jump_decomposition(ic).get((c, 0), 0j)
     if jump == 0:
         raise NotAJump(f"no zeroth-order jump at {c!r}")
     n = om.degree

@@ -18,8 +18,8 @@ from dispgibbs.cli import GIBBS_COLUMNS, main
 HEAT = normalize({2: -1j})
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+def run(*args):
+    return CliRunner().invoke(main, list(args))
 
 
 def test_eval_csv():
@@ -74,6 +74,35 @@ def test_eval_validation_failures():
     # wrong (about 6e83 here, exit 0)
     r = run("eval", "--omega", "3:1", "--m", "200", "--t", "1", "--y-grid", "-1:1:3")
     assert r.exit_code == 2 and "m must be at most 9" in r.stderr
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("eval", ("--omega", "3:1", "--t", "1", "--y-grid")),
+    ("kernel", ("--omega", "3:1", "--t", "1", "--x-grid")),
+    ("solve", ("--omega", "3:1", "--ic", "box", "--t", "1", "--x-grid")),
+])
+def test_grid_past_the_cap_is_a_usage_error(monkeypatch, command, grid):
+    # 1e7 points asked for about 10 GB a rule, and 1e11 for 800 GB in
+    # linspace alone: the grid is refused before any array is made
+    def linspace(*args, **kwargs):
+        raise AssertionError("a grid past the cap was allocated")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    r = run(command, *grid, f"-1:1:{cli.MAX_GRID_POINTS + 1}")
+    assert r.exit_code == 2
+    assert f"at most {cli.MAX_GRID_POINTS} points" in r.stderr
+
+
+def test_grid_at_the_cap_is_parsed():
+    assert len(cli._parse_grid(f"-1:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+
+
+def test_descent_at_y_zero_exits_3():
+    r = run("eval", "--omega", "3:1", "--t", "1", "--y-grid", "0:1:2",
+            "--method", "descent")
+    assert r.exit_code == 3
+    assert "descent evaluation needs y != 0" in r.stderr
+    assert "failing query" in r.stderr and "--y-grid 0:1:2" in r.stderr
 
 
 def test_kernel_values():
@@ -261,13 +290,15 @@ def test_verify_all_suites():
     assert suites == {"gibbs", "limits", "ode", "oracles"}
 
 
-def test_thread_count_does_not_change_bytes():
-    args = ("solve", "--omega", "2:1", "--ic", "box", "--t", "0.05,0.2",
+def test_thread_count_does_not_change_bytes(monkeypatch):
+    args = ("solve", "--omega", "2:1", "--ic", "box", "--t", "0.05,0.2,0.6",
             "--x-grid", "-3:3:25")
-    one = run(*args, env={"DISPGIBBS_THREADS": "1"})
-    four = run(*args, env={"DISPGIBBS_THREADS": "4"})
-    assert one.exit_code == 0 and four.exit_code == 0
-    assert one.output == four.output
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    one = run(*args)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    two = run(*args)
+    assert one.exit_code == 0 and two.exit_code == 0
+    assert one.output == two.output
 
 
 def _later_time_first(monkeypatch, first):

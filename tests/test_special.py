@@ -661,6 +661,17 @@ def test_descent_through_the_pole_is_refused_on_both_paths():
     assert eval_I(om, m, y, t, method="direct") == want
 
 
+def test_descent_at_shape_zero_is_refused_on_both_paths():
+    # s = 0 has no saddle to descend from: a lone point, a grid holding
+    # one, and a y that the drift shifts to s = 0 all raise
+    with pytest.raises(DegeneratePhase, match="^descent evaluation needs y != 0$"):
+        eval_I({3: 1}, 0, 0.0, 1.0, method="descent")
+    with pytest.raises(DegeneratePhase, match="^descent evaluation needs y != 0$"):
+        eval_I_grid({3: 1}, 0, [0.0, 1.0], 1.0, method="descent")
+    with pytest.raises(DegeneratePhase, match="^descent evaluation needs y != 0$"):
+        eval_I({3: 1, 1: 2.0}, 0, 2.0, 1.0, method="descent")
+
+
 def test_lone_direct_query_shares_rules_through_the_hook(monkeypatch):
     # the segments of a lone contour are refined in lockstep: a handful of
     # rule calls (14, one segment each, when refined one by one), and every
