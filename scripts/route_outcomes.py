@@ -23,9 +23,11 @@ placed at y as the draws place theirs, the value being the repr of the
 list of values; then, once, the grids of FIXED_GRIDS at m = 0 and 1 (seed
 "fixed"): k^5 with four direct points and a descent window that fails from
 s = 34 on, under auto and descent, and k^3 with one descent point under
-auto; then overshoot_table([3, 5, 9]) at sigma = 1, t = 1 ("gibbs", the
-repr of the table) and the CSV that the benchmark's solve workload prints
-("solve").
+auto; then overshoot_table([3, 5, 9]) at sigma = 1, t = 1 and
+overshoot_table([2, 3, 4, 17, 33]) at sigma = -1, t = 1, whose -k^3 row
+has its real-part maximum at the scan's end (two "gibbs" lines, index
+null and "edge", the repr of the table), and the CSV that the
+benchmark's solve workload prints ("solve").
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
@@ -60,6 +62,9 @@ FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
     ({5: 1}, [-1.0, -0.5, 0.5, 1.0] + np.linspace(33.0, 36.0, 7).tolist(), ("auto", "descent")),
     ({3: 1}, [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0], ("auto",)),
 )
+# (n_list, sigma): the real-part maximum of -k^3 sits at the scan's right
+# end, so its Chebyshev bracket is one shifted inward from the edge
+EDGE_TABLE = ([2, 3, 4, 17, 33], -1.0)
 
 
 def _outcome(line, value, show=repr):
@@ -106,10 +111,11 @@ def fixed_grid_outcomes():
 
 
 def batch_products():
-    """The gibbs table and the solve CSV of the benchmark's workloads."""
-    yield _outcome({"seed": None, "index": None, "method": "gibbs",
-                    "query": repr((list(GIBBS_DEGREES), 1.0, 1.0))},
-                   lambda: gibbs.overshoot_table(list(GIBBS_DEGREES), sigma=1.0, t=1.0))
+    """The benchmark's gibbs table, EDGE_TABLE's, and the benchmark's solve CSV."""
+    for index, n_list, sigma in ((None, list(GIBBS_DEGREES), 1.0), ("edge", *EDGE_TABLE)):
+        yield _outcome({"seed": None, "index": index, "method": "gibbs",
+                        "query": repr((n_list, sigma, 1.0))},
+                       lambda: gibbs.overshoot_table(n_list, sigma=sigma, t=1.0))
 
     def solve_csv():
         out = io.StringIO()

@@ -51,6 +51,16 @@ class OvershootReport:
     arg_sup_re: float    # y location of the real-part maximum
 
 
+@lru_cache(maxsize=1)
+def _cheb_maps(points):
+    """The matrices that take values at the `points` descending Chebyshev
+    points cos(pi k / N) to the Chebyshev coefficients of their
+    interpolant (the inverse of chebvander) and of its derivative."""
+    x = clenshaw_curtis_rule(points - 1)[0]
+    to_coef = np.linalg.inv(chebyshev.chebvander(x, points - 1))
+    return to_coef, chebyshev.chebder(np.eye(points)) @ to_coef
+
+
 def _cheb_argmax(values):
     """Argmax on [-1, 1] of the Chebyshev interpolant through `values`.
 
@@ -58,31 +68,37 @@ def _cheb_argmax(values):
     candidates are the two ends and the roots of the interpolant's
     derivative (colleague-matrix eigenvalues) whose real part lies in
     [-1, 1]; taking the real part of every root keeps a nearly double
-    critical point, and the best candidate wins on the interpolant itself.
+    critical point, and the best candidate wins on the interpolant itself,
+    sum_k c_k cos(k arccos x).
     """
-    x = clenshaw_curtis_rule(len(values) - 1)[0]
-    coef = chebyshev.chebfit(x, values, len(values) - 1)
-    crit = chebyshev.chebroots(chebyshev.chebder(coef)).real
+    to_coef, to_deriv = _cheb_maps(len(values))
+    crit = chebyshev.chebroots(to_deriv @ values).real
     cand = np.concatenate(([-1.0, 1.0], crit[np.abs(crit) <= 1.0]))
-    return float(cand[np.argmax(chebyshev.chebval(cand, coef))])
+    interp = np.cos(np.outer(np.arccos(cand), np.arange(len(values)))) @ (to_coef @ values)
+    return float(cand[np.argmax(interp)])
 
 
 def overshoot(n, sigma=1.0, t=1.0):
-    """Extrema of G_n(y,t) = I_{sigma k^n, 0}(y, t) + 1 over y.
+    """Extrema of G_n(y,t) = I_{sigma k^n, 0}(y, t) + 1 over y, finite t > 0.
 
     Coarse 0.1-step grid on [-L, L] (L = max(10, 2n), everything scaled by
     the similarity length (|sigma| t)^{1/n}).  Each of the six targets
     (+-Re G, +-Im G, +-|G|^2; |G| itself has a kink at a zero of G) is then
-    interpolated on CHEB_POINTS Chebyshev points over the two grid steps
-    around its grid extremum (targets that share a bracket share its
-    values), the interpolant's maximum is located, and G is evaluated
-    there.  Every stage is one eval_I_grid batch.  The six
-    extremal values are t-independent; the reported location arg_sup_re
-    scales with the query t.
+    interpolated on CHEB_POINTS Chebyshev points over a bracket of two grid
+    steps around its grid extremum, shifted inward by one step at the
+    scan's ends so that it stays inside [-L, L] (targets that share a
+    bracket share its values).  Every bracket has the same width, so their
+    points repeat one set of offsets and the batch takes the blocked direct
+    integrand (special._block_rows).  The interpolant's maximum is located,
+    and G is evaluated there.  Every stage is one eval_I_grid batch.  The
+    six extremal values are t-independent; the reported location
+    arg_sup_re scales with the query t.
     """
     n = int(n)
     if n < 2:
         raise ValueError("need a dispersive monomial, n >= 2")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("overshoot needs a finite t > 0")
     omega = normalize({n: sigma})   # refuses n > MAX_DEGREE before the scan is built
     u = (abs(sigma) * t) ** (1.0 / n)
     L = max(10.0, 2.0 * n)
@@ -98,7 +114,7 @@ def overshoot(n, sigma=1.0, t=1.0):
     }
     vals = profile(ys)
     best = [int(np.argmax(f(vals))) for f in targets.values()]
-    brackets = [(ys[max(i - 1, 0)], ys[min(i + 1, len(ys) - 1)]) for i in best]
+    brackets = [(ys[j - 1], ys[j + 1]) for j in np.clip(best, 1, len(ys) - 2)]
 
     def in_bracket(bracket, x):   # [-1, 1] -> bracket
         lo, hi = bracket

@@ -24,8 +24,8 @@ A grid (_grid) is always batched: one batched build of the descent
 points' saddle geometry and one quadrature rule per saddle segment, and
 one direct contour for the direct points, whose integrand takes one exp
 per block start and one per offset when their shapes are uniformly
-spaced.  One rule joins them: a grid
-that fails anywhere is evaluated again point by point through _one.
+spaced or fall in blocks of one set of offsets.  One rule joins them: a
+grid that fails anywhere is evaluated again point by point through _one.
 eval_I is the one-point case, eval_I_grid the grid case.
 """
 
@@ -139,23 +139,39 @@ def _pole_factor(val, z, m):
 
 def _block_rows(s, cont):
     """Rows per block of _direct_core's integrand for the column s on cont:
-    1 unless s has four rows or more and every row s_r lies within
-    16 eps max|s| of s_0 + r h, h = (s_last - s_0) / (rows - 1).
+    a B for which every block of B rows repeats block 0's offsets s_j - s_0
+    (j < B) within 16 eps max|s|, or 1 (a lone point, under four rows, or
+    no such B).
 
-    A uniform grid takes B = isqrt(rows), lowered until (B - 1) |h| max|Im z|
-    <= TAIL_DROP over the contour's segment ends (the segments are affine,
-    so that is the maximum over the contour): a row is then within
-    e^TAIL_DROP of its block's start, and no offset factor overflows."""
+    A uniform grid, every row s_r within that slack of s_0 + r h with
+    h = (s_last - s_0) / (rows - 1), takes B = isqrt(rows), lowered until
+    (B - 1) |h| max|Im z| <= TAIL_DROP over the contour's segment ends (the
+    segments are affine, so that is the maximum over the contour); its
+    last block may be short.  Any other column takes the smallest divisor
+    B of rows, 2 <= B <= rows/2, whose blocks repeat block 0's offsets (the
+    brackets of gibbs.overshoot: CHEB_POINTS points each, all of one
+    width), and B = 1 if max|s_j - s_0| max|Im z| exceeds TAIL_DROP.  A row
+    is then within e^TAIL_DROP of its block's start, and no offset factor
+    overflows."""
     rows = np.size(s)
     if rows < 4:
         return 1
     col = np.ravel(s)
     h = (col[-1] - col[0]) / (rows - 1)
     slack = 16 * np.finfo(float).eps * np.abs(col).max()
-    if np.abs(col[0] + h * np.arange(rows) - col).max() > slack:
+    uniform = np.abs(col[0] + h * np.arange(rows) - col).max() <= slack
+
+    def repeats(block):
+        blocks = col.reshape(-1, block)
+        return np.abs(blocks - blocks[:, :1] - (blocks[0] - blocks[0, 0])).max() <= slack
+
+    block = math.isqrt(rows) if uniform else next(
+        (b for b in range(2, rows // 2 + 1) if rows % b == 0 and repeats(b)), 1)
+    if block == 1:
         return 1
     top = max(abs(p.imag) for seg in cont.segments for p in (seg.start, seg.end))
-    block = math.isqrt(rows)
+    if not uniform:
+        return block if np.abs(col[:block] - col[0]).max() * top <= TAIL_DROP else 1
     while block > 1 and (block - 1) * abs(h) * top > TAIL_DROP:
         block -= 1
     return block
@@ -168,14 +184,16 @@ def _direct_core(can, m, s):
 
     Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
     whole column as one (points, nodes) matrix, in one integrand.  The
-    column is cut into blocks of B rows (_block_rows), and each block start
-    s_b, a row of s, takes a single exp of the combined phase.  With B = 1
-    (a lone point, or a column that is not uniform) that exp is the value
-    and only the pole factor (_pole_factor) follows; otherwise row s_b + d_j
-    of block b takes exp(izs_b - i omega(z)) times exp(izd_j) / (iz)^(m+1)
-    / 2pi: R/B + B exps per node for R rows.  An offset factor scales a row
-    by at most e^TAIL_DROP, so a row overflows where it would alone, up to
-    rounding at the threshold.
+    column is cut into blocks of B rows (_block_rows: a uniform grid, or
+    blocks that repeat one set of offsets such as overshoot's brackets),
+    and each block start s_b, a row of s, takes a single exp of the
+    combined phase.  With B = 1 (a lone point, or a column with no such
+    blocks) that exp is the value and only the pole factor (_pole_factor)
+    follows; otherwise row s_b + d_j of block b takes
+    exp(izs_b - i omega(z)) times exp(izd_j) / (iz)^(m+1) / 2pi, d_j the
+    offsets of block 0: R/B + B exps per node for R rows.  An offset factor
+    scales a row by at most e^TAIL_DROP, so a row overflows where it would
+    alone, up to rounding at the threshold.
     """
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
     block = _block_rows(s, cont)

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import airy, sici, wofz
 
@@ -97,6 +99,16 @@ def test_overshoot_monotone_in_n(report3):
 def test_overshoot_validation():
     with pytest.raises(ValueError):
         overshoot(1)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+def test_overshoot_refuses_a_time_that_is_not_finite_and_positive(t):
+    # checked before the similarity length (|sigma| t)^(1/n) is taken, which
+    # is complex for t < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overshoot needs a finite t > 0"):
+            overshoot(3, t=t)
 
 
 def test_overshoot_refuses_a_large_degree_before_its_scan():
@@ -199,3 +211,45 @@ def test_overshoot_evaluates_each_shared_bracket_once(monkeypatch):
     assert sizes[1] % gibbs.CHEB_POINTS == 0
     assert sizes[1] < 6 * gibbs.CHEB_POINTS
     assert sizes[2] == 6
+
+
+def _reference_argmax(values):
+    """The least-squares chebfit, chebder, chebroots and chebval argmax that
+    _cheb_argmax's precomputed maps replace."""
+    x = quadrature.clenshaw_curtis_rule(len(values) - 1)[0]
+    coef = chebyshev.chebfit(x, values, len(values) - 1)
+    crit = chebyshev.chebroots(chebyshev.chebder(coef)).real
+    cand = np.concatenate(([-1.0, 1.0], crit[np.abs(crit) <= 1.0]))
+    return float(cand[np.argmax(chebyshev.chebval(cand, coef))])
+
+
+def test_cheb_argmax_matches_the_reference_on_the_table_brackets(monkeypatch):
+    seen = []
+    argmax = gibbs._cheb_argmax
+
+    def recorded(values):
+        seen.append((values, argmax(values)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(gibbs, "_cheb_argmax", recorded)
+    overshoot_table([3, 5, 9])
+    assert len(seen) == 18
+    for values, got in seen:
+        assert abs(got - _reference_argmax(values)) <= 1e-9
+
+
+@pytest.mark.parametrize("f, where", [
+    (np.exp, 1.0),
+    (lambda x: -np.exp(2.0 * x), -1.0),
+    (lambda x: np.cos(3.0 * x - 0.5), 0.5 / 3.0),
+    (lambda x: np.exp(-4.0 * (x - 0.4) ** 2), 0.4),
+    # nearly double critical points (two close real roots of f', then a
+    # complex pair) below an endpoint maximum
+    (lambda x: (x - 0.3) ** 3 - 1e-8 * (x - 0.3), 1.0),
+    (lambda x: (x - 0.3) ** 3 + 1e-14 * (x - 0.3), 1.0),
+])
+def test_cheb_argmax_matches_the_reference_on_entire_functions(f, where):
+    values = f(quadrature.clenshaw_curtis_rule(gibbs.CHEB_POINTS - 1)[0])
+    got = gibbs._cheb_argmax(values)
+    assert abs(got - _reference_argmax(values)) <= 1e-9
+    assert abs(got - where) <= 1e-9

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import airy, erf, erfc
 
 from dispgibbs import (DegeneratePhase, NoConvergence, NonFinite, asymptotic_I,
-                       eval_E, eval_I, eval_I_grid, eval_kernel, normalize,
+                       eval_E, eval_I, eval_I_grid, eval_kernel, gibbs, normalize,
                        ode_residual, quadrature, residue_part, special)
 from dispgibbs.contour import Contour, Segment, descent_batches, descent_system, direct_contour
 from dispgibbs.dispersion import scaled_phase, scaled_phase_rows
@@ -749,3 +749,37 @@ def test_blocked_direct_integrand_on_a_coarse_wide_grid(rows):
         assert mixed_block == 1 < block < math.isqrt(rows)
         assert conts == mixed_conts == 1
         assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33])
+def test_overshoot_brackets_take_the_blocked_direct_integrand(monkeypatch, n, sigma):
+    # every bracket is two grid steps wide, at the scan's ends too, so the
+    # batch repeats one block of CHEB_POINTS offsets; the same points
+    # shuffled take one exp per value on the same contour
+    batches = []
+    grid = gibbs.eval_I_grid
+
+    def recorded(omega, m, ys, t, *args, **kwargs):
+        batches.append(np.array(ys))
+        return grid(omega, m, ys, t, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "eval_I_grid", recorded)
+    gibbs.overshoot(n, sigma)
+    ys = batches[1]    # the scan, the brackets, the six refined points
+    om = normalize({n: sigma})
+    got, want, conts, mixed_conts, (block, mixed_block) = _shuffled_values(om, 0, ys)
+    assert block == gibbs.CHEB_POINTS and mixed_block == 1
+    assert conts == mixed_conts == 1
+    # 1e-14, not 1e-13: offsets of at most 0.2 scaled by 1 + 1e-12 inside
+    # the exp move the values by about 5e-14
+    assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want)))
+
+    # one bracket 1e-9 wider repeats no offsets
+    hi, lo = ys[-gibbs.CHEB_POINTS], ys[-1]
+    cheb = quadrature.clenshaw_curtis_rule(gibbs.CHEB_POINTS - 1)[0]
+    wider = ys.copy()
+    wider[-gibbs.CHEB_POINTS:] = 0.5 * (lo + hi + 1e-9) + 0.5 * (hi + 1e-9 - lo) * cheb
+    can, s, _, _ = special._canonical(om, wider, 1.0)
+    cont = direct_contour(can, 0, float(s.min()), float(s.max()))
+    assert special._block_rows(s[:, None], cont) == 1
