@@ -22,12 +22,16 @@ eval_I_grid of the draw's symbol, m and t with method "auto" and "direct"
 placed at y as the draws place theirs, the value being the repr of the
 list of values; then, once, the grids of FIXED_GRIDS at m = 0 and 1 (seed
 "fixed"): k^5 with four direct points and a descent window that fails from
-s = 34 on, under auto and descent, and k^3 with one descent point under
-auto; then overshoot_table([3, 5, 9]) at sigma = 1, t = 1 and
+s = 34 on, under auto and descent, k^3 with one descent point under auto,
+and 400 uniform points y in [298, 302] of k^3 with drift 300 under direct
+(its shapes carry the rounding of y near 300 and still take blocks of
+20 rows); then overshoot_table([3, 5, 9]) at sigma = 1, t = 1,
 overshoot_table([2, 3, 4, 17, 33]) at sigma = -1, t = 1, whose -k^3 row
-has its real-part maximum at the scan's end (two "gibbs" lines, index
-null and "edge", the repr of the table), and the CSV that the
-benchmark's solve workload prints ("solve").
+has its real-part maximum at the scan's end, and overshoot_table([63, 64])
+at sigma = 1, t = 1, whose scans of 2,500 rows and more take the blocked
+direct integrand (three "gibbs" lines, index null, "edge" and "high", the
+repr of the table), and the CSV that the benchmark's solve workload prints
+("solve").
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
@@ -61,10 +65,13 @@ GRID_SHAPES = np.linspace(-8.0, 8.0, 9)   # both routes under auto: |s| >= 4 is 
 FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
     ({5: 1}, [-1.0, -0.5, 0.5, 1.0] + np.linspace(33.0, 36.0, 7).tolist(), ("auto", "descent")),
     ({3: 1}, [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0], ("auto",)),
+    ({3: 1, 1: 300.0}, np.linspace(298.0, 302.0, 400).tolist(), ("direct",)),
 )
-# (n_list, sigma): the real-part maximum of -k^3 sits at the scan's right
-# end, so its Chebyshev bracket is one shifted inward from the edge
-EDGE_TABLE = ([2, 3, 4, 17, 33], -1.0)
+# (index, n_list, sigma) of the gibbs lines past the benchmark's table: the
+# real-part maximum of -k^3 sits at the scan's right end, so its Chebyshev
+# bracket is one shifted inward from the edge; n = 63 and 64 scan
+# 2,500 rows and more
+TABLES = (("edge", [2, 3, 4, 17, 33], -1.0), ("high", [63, 64], 1.0))
 
 
 def _outcome(line, value, show=repr):
@@ -111,8 +118,8 @@ def fixed_grid_outcomes():
 
 
 def batch_products():
-    """The benchmark's gibbs table, EDGE_TABLE's, and the benchmark's solve CSV."""
-    for index, n_list, sigma in ((None, list(GIBBS_DEGREES), 1.0), ("edge", *EDGE_TABLE)):
+    """The benchmark's gibbs table, those of TABLES, and the benchmark's solve CSV."""
+    for index, n_list, sigma in ((None, list(GIBBS_DEGREES), 1.0), *TABLES):
         yield _outcome({"seed": None, "index": index, "method": "gibbs",
                         "query": repr((n_list, sigma, 1.0))},
                        lambda: gibbs.overshoot_table(n_list, sigma=sigma, t=1.0))

@@ -13,6 +13,15 @@ at each doubling.  The segments of one contour climb their ladders
 together when the integrand is elementwise, so that one rule call serves
 every segment at the same order (numpy's fixed cost per call is tens of
 microseconds, more than a rule of 33..129 nodes costs to apply).
+
+A batch integrand may also return its (rows, nodes) values factored, as
+(heads, tails, rows) with heads (blocks, nodes) and tails (B, nodes): row
+b B + j of the batch is heads[b] * tails[j], node by node, and the batch
+is the first `rows` of those blocks * B rows (its last block may be
+short).  The direct route of a grid does so, one block start per head and
+one offset per tail.  The product is never formed: a rule's estimates are
+one small complex matrix product, its max|f| the row maximum of a real
+one, and a doubled rule interleaves the two factors alone.
 """
 
 from dataclasses import dataclass
@@ -86,22 +95,41 @@ def _endpoints(start, end):
 
 
 def _rule_sum(weights, fz):
-    """sum_k weights[k] fz[..., k], one value per row of fz (contiguous)."""
+    """sum_k weights[k] fz[..., k], one value per row of fz: a contiguous
+    array, or a factored (heads, tails, rows)."""
+    if isinstance(fz, tuple):
+        heads, tails, rows = fz
+        return ((heads * weights) @ tails.T).reshape(-1)[:rows]
     # real weights times the (re, im) pairs: complex-matrix @ real-vector
     # takes a slow path in numpy, milliseconds for a few hundred rows
     est = np.matmul(weights, fz.view(float).reshape(fz.shape + (2,)))
     return est.view(complex)[..., 0]
 
 
+def _max_abs(fz):
+    """max_k |fz[..., k]|, one value per row of fz, factored or not: nan or
+    inf unless every value is finite (inf times a zero factor is nan)."""
+    if isinstance(fz, tuple):
+        heads, tails, rows = fz
+        return (np.abs(heads)[:, None, :] * np.abs(tails)).max(axis=-1).reshape(-1)[:rows]
+    return np.abs(fz).max(axis=-1)
+
+
+def _values(fz):
+    """An integrand's node values as _rule_sum and _max_abs take them."""
+    return fz if isinstance(fz, tuple) else np.ascontiguousarray(fz, dtype=complex)
+
+
 def integrate_segment(f, start, end, order):
     """Fixed-order rule applied to one affine segment start -> end.
 
     f returns one value per node, or one row of node values per point of a
-    batch; the estimate and the integrand scale max|f| then come per row.
-    start and end may also be tuples with one endpoint per row (every row
-    its own segment, one rule for all of them); f then receives the
-    (rows, nodes) matrix of nodes.  integrate_contour calls it by this
-    module's name, so a wrapper put here sees every rule applied.
+    batch, or a batch's rows factored as (heads, tails, rows) (see the
+    module docstring); the estimate and the integrand scale max|f| then
+    come per row.  start and end may also be tuples with one endpoint per
+    row (every row its own segment, one rule for all of them); f then
+    receives the (rows, nodes) matrix of nodes.  integrate_contour calls it
+    by this module's name, so a wrapper put here sees every rule applied.
     """
     nodes, weights = clenshaw_curtis_rule(order)
     per_row = isinstance(start, tuple)
@@ -109,8 +137,8 @@ def integrate_segment(f, start, end, order):
     mid = 0.5 * (start + end)
     half = 0.5 * (end - start)
     z = mid[:, None] + half[:, None] * nodes if per_row else mid + half * nodes
-    fz = np.ascontiguousarray(f(z), dtype=complex)
-    fmax = np.abs(fz).max(axis=-1)
+    fz = _values(f(z))
+    fmax = _max_abs(fz)
     if not np.isfinite(fmax).all():   # max|f| is finite only when every value is
         raise NonFinite(f"integrand not finite on segment {start} -> {end}")
     return half * _rule_sum(weights, fz), fmax
@@ -123,7 +151,20 @@ def _embedded(fz, start, end, order):
     integrate_segment(f, start, end, order // 2), bit for bit."""
     start, end = _endpoints(start, end)
     weights = clenshaw_curtis_rule(order // 2)[1]
-    return 0.5 * (end - start) * _rule_sum(weights, np.ascontiguousarray(fz[..., ::2]))
+    if isinstance(fz, tuple):
+        even = (fz[0][:, ::2], fz[1][:, ::2], fz[2])
+    else:
+        even = np.ascontiguousarray(fz[..., ::2])
+    return 0.5 * (end - start) * _rule_sum(weights, even)
+
+
+def _interleave(even, odd):
+    """The node values whose even-indexed columns are even and odd-indexed
+    ones odd, in a new array."""
+    fz = np.empty(np.shape(odd)[:-1] + (even.shape[-1] + odd.shape[-1],), dtype=complex)
+    fz[..., ::2] = even
+    fz[..., 1::2] = odd
+    return fz
 
 
 class _Nested:
@@ -131,8 +172,9 @@ class _Nested:
     rule (from which a first rule's half-order estimate is taken): when the
     next rule has twice the order, its even-indexed nodes are the last
     rule's nodes, bit for bit, so only the odd-indexed ones go to f.  f
-    must treat the nodes (its last axis) independently and return a new
-    array on every call."""
+    must treat the nodes (its last axis) independently and return new
+    arrays on every call; factored values (heads, tails, rows) are kept,
+    and interleaved, factor by factor."""
 
     __slots__ = ("f", "last")
 
@@ -141,15 +183,17 @@ class _Nested:
 
     def __call__(self, z):
         last = self.last
-        if last is None or z.shape[-1] != 2 * last.shape[-1] - 1:
-            fz = np.asarray(self.f(z), dtype=complex)
+        even = last[0] if isinstance(last, tuple) else last
+        if even is None or z.shape[-1] != 2 * even.shape[-1] - 1:
+            fz = _values(self.f(z))
         else:
             # f first: allocating fz before f's temporaries made a grid solve
             # take about 1.6 times the page faults (glibc returns more to the OS)
             new = self.f(np.ascontiguousarray(z[..., 1::2]))
-            fz = np.empty(np.shape(new)[:-1] + z.shape[-1:], dtype=complex)
-            fz[..., ::2] = last
-            fz[..., 1::2] = new
+            if isinstance(new, tuple):
+                fz = (_interleave(last[0], new[0]), _interleave(last[1], new[1]), new[2])
+            else:
+                fz = _interleave(last, new)
         self.last = fz
         return fz
 
@@ -273,7 +317,9 @@ def integrate_contour(f, contour):
 
     f must accept a complex ndarray of nodes and return complex values
     elementwise, or a (points, nodes) array for a batch of integrands, in
-    which case the result is one value per point.  A batch may also give
+    which case the result is one value per point; a batch may return its
+    rows factored instead, as (heads, tails, rows) (see the module
+    docstring), summed without forming their product.  A batch may also give
     every point its own segments: segment endpoints are then tuples with
     one complex per point (tuples, so that a rule's endpoints stay
     hashable for whoever wraps integrate_segment).

@@ -22,11 +22,13 @@ through one router, _evaluate, which takes a grid of y at one
 saddle geometry or direct contour and refines its segments in lockstep.
 A grid (_grid) is always batched: one batched build of the descent
 points' saddle geometry and one quadrature rule per saddle segment, and
-one direct contour for the direct points, whose integrand takes one exp
-per block start and one per offset when their shapes are uniformly
-spaced or fall in blocks of one set of offsets.  One rule joins them: a
-grid that fails anywhere is evaluated again point by point through _one.
-eval_I is the one-point case, eval_I_grid the grid case.
+one direct contour for the direct points, whose integrand returns two
+factors, one exp per block start and one per offset (one block per row
+and the one offset 0 unless the shapes are uniformly spaced or fall in
+blocks of one set of offsets), that the quadrature sums without forming
+their product.  One rule joins them: a grid that fails anywhere is
+evaluated again point by point through _one.  eval_I is the one-point
+case, eval_I_grid the grid case.
 """
 
 import cmath
@@ -131,17 +133,21 @@ def _canonical(omega, y, t):
 
 def _pole_factor(val, z, m):
     """val times 1/(iz)^(m+1) (for m >= 0) and 1/2pi, in place; returns val."""
-    if m >= 0:
+    if m == 0:   # w ** 1 is w, bit for bit, but takes numpy's slow generic power
+        val /= 1j * z
+    elif m > 0:
         val /= (1j * z) ** (m + 1)
     val *= _INV_TWO_PI
     return val
 
 
-def _block_rows(s, cont):
+def _block_rows(s, cont, shift):
     """Rows per block of _direct_core's integrand for the column s on cont:
     a B for which every block of B rows repeats block 0's offsets s_j - s_0
-    (j < B) within 16 eps max|s|, or 1 (a lone point, under four rows, or
-    no such B).
+    (j < B) within 16 eps max(|y|, |drift t|)/u over the column, or 1 (under
+    four rows, or no such B).  shift is drift t/u, so y/u = s + shift: the
+    shapes s = (y - drift t)/u carry the rounding of y and of drift t, far
+    above eps |s| when the drift moves large y to small shapes.
 
     A uniform grid, every row s_r within that slack of s_0 + r h with
     h = (s_last - s_0) / (rows - 1), takes B = isqrt(rows), lowered until
@@ -158,7 +164,7 @@ def _block_rows(s, cont):
         return 1
     col = np.ravel(s)
     h = (col[-1] - col[0]) / (rows - 1)
-    slack = 16 * np.finfo(float).eps * np.abs(col).max()
+    slack = 16 * np.finfo(float).eps * max(np.abs(col + shift).max(), abs(shift))
     uniform = np.abs(col[0] + h * np.arange(rows) - col).max() <= slack
 
     def repeats(block):
@@ -177,37 +183,40 @@ def _block_rows(s, cont):
     return block
 
 
-def _direct_core(can, m, s):
+def _direct_core(can, m, s, shift=None):
     """Direct-route value at the shape s, or one value per row of a (points, 1)
     column s of shapes, all on one contour built for the range of s; returns
-    (value, contour).
+    (value, contour).  A column comes with its shift, drift t/u (see
+    _block_rows).
 
-    Each quadrature rule evaluates exp(izs - i omega(z)) / (iz)^(m+1) for the
-    whole column as one (points, nodes) matrix, in one integrand.  The
-    column is cut into blocks of B rows (_block_rows: a uniform grid, or
-    blocks that repeat one set of offsets such as overshoot's brackets),
-    and each block start s_b, a row of s, takes a single exp of the
-    combined phase.  With B = 1 (a lone point, or a column with no such
-    blocks) that exp is the value and only the pole factor (_pole_factor)
-    follows; otherwise row s_b + d_j of block b takes
-    exp(izs_b - i omega(z)) times exp(izd_j) / (iz)^(m+1) / 2pi, d_j the
-    offsets of block 0: R/B + B exps per node for R rows.  An offset factor
-    scales a row by at most e^TAIL_DROP, so a row overflows where it would
-    alone, up to rounding at the threshold.
+    The integrand is exp(izs - i omega(z)) / (iz)^(m+1) / 2pi.  A lone point
+    takes it node by node: one exp of the combined phase, then the pole
+    factor (_pole_factor).  A column is cut into blocks of B rows
+    (_block_rows: a uniform grid, blocks that repeat one set of offsets such
+    as overshoot's brackets, or else B = 1), and row s_b + d_j of block b,
+    d_j the offsets of block 0, is the product of a head
+    exp(izs_b - i omega(z)) and a tail exp(izd_j) / (iz)^(m+1) / 2pi (with
+    B = 1 the one offset is 0, and the tail is the pole factor alone).  The
+    integrand returns the two factors, and the quadrature never forms their
+    product: R/B + B exps per node for R rows.  A tail scales a row by at
+    most e^TAIL_DROP, so a row overflows where it would alone, up to
+    rounding at the threshold.
     """
     cont = direct_contour(can, m, float(np.min(s)), float(np.max(s)))
-    block = _block_rows(s, cont)
-    starts, offsets = (s, None) if block == 1 else (s[::block], s[:block] - s[0])
+    if np.ndim(s) == 0:
+        starts, offsets = s, None
+    else:
+        block = _block_rows(s, cont, shift)
+        starts, offsets = s[::block], s[:block] - s[0]
 
     def f(z):
         val = 1j * z * starts             # in place from here: the batch is large
         val -= 1j * can(z)
         np.exp(val, out=val)
-        if block == 1:
+        if offsets is None:
             return _pole_factor(val, z, m)
-        tail = np.exp(1j * z * offsets)    # (B, nodes): small, so not in place
-        val = val[:, None, :] * _pole_factor(tail, z, m)   # (blocks, B, nodes)
-        return val.reshape(-1, z.shape[-1])[:len(s)]
+        # (blocks, nodes) heads and (B, nodes) tails
+        return val, _pole_factor(np.exp(1j * z * offsets), z, m), len(s)
 
     with np.errstate(all="ignore"):
         return integrate_contour(f, cont), cont
@@ -288,7 +297,7 @@ def _evaluate(omega, m, ys, t, method):
         vals, contours = _one(can, m, s[0], method)
     else:
         try:
-            vals, contours = _grid(can, m, s, method)
+            vals, contours = _grid(can, m, s, method, omega.drift * t / u)
         except (NoConvergence, NonFinite, DegeneratePhase):
             each = [_one(can, m, si, method) for si in s]
             vals = [v for vs, _ in each for v in vs]
@@ -322,8 +331,9 @@ def _one(can, m, s, method):
     return np.atleast_1d(value), [cont]
 
 
-def _grid(can, m, s, method):
-    """Unscaled values at two or more shapes s, and the contours integrated.
+def _grid(can, m, s, method, shift):
+    """Unscaled values at two or more shapes s = y/u - shift, and the
+    contours integrated.
 
     Every descent point goes through one batched build (descent_batches,
     contour's descent guards applied row by row), and the points with the
@@ -353,7 +363,7 @@ def _grid(can, m, s, method):
         vals[idx] = _descent_core(can, m, s[idx], system)
         contours.extend(system.contours)
     if direct.any():
-        vals[direct], cont = _direct_core(can, m, s[direct][:, None])
+        vals[direct], cont = _direct_core(can, m, s[direct][:, None], shift)
         contours.append(cont)
     return vals, contours
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from dispgibbs import (Contour, NoConvergence, NonFinite, Segment,
                        clenshaw_curtis_rule, eval_I, eval_I_grid,
-                       integrate_contour, integrate_segment, overshoot_table,
+                       integrate_contour, integrate_segment, overshoot, overshoot_table,
                        quadrature, special)
 from dispgibbs.cli import main
 
@@ -259,6 +259,10 @@ def test_embedded_estimate_is_the_half_order_rule(order):
          (1.3 + 0.4j, -0.5 + 0.25j, 0.5 + 2.0j)),
         (lambda z: np.exp(1j * k[:, None] * z), -1.0 + 0j, 0.5 + 0.5j),
     ]
+    # and a batch whose rows are factored into heads and tails
+    heads, tails = np.array([0.5, -1.0, 2.0])[:, None], np.array([0.0, 0.25])[:, None]
+    cases.append((lambda z: (np.exp(1j * heads * z), np.exp(1j * tails * z) / (z + 2.0), 5),
+                  -1.0 + 0j, 0.5 + 0.5j))
     for f, start, end in cases:
         keeper = quadrature._Nested(f)
         integrate_segment(keeper, start, end, order)
@@ -335,3 +339,80 @@ def test_lockstep_memory_is_bounded_by_the_node_cap():
         tracemalloc.stop()
     assert abs(val - (np.exp(0.01j * n) - 1) / 0.01j) < 1e-9 * n
     assert peak < 8 * quadrature.NODE_CAP * 16
+
+
+# a factored batch: 5 blocks of 4 rows, of which the last holds 3 (19 rows)
+_STARTS = np.array([0.3, -1.2, 2.5, 0.9, -0.4])[:, None]
+_OFFSETS = np.array([0.0, 0.15, 0.3, 0.45])[:, None]
+
+
+def _factored(z):
+    return np.exp(1j * _STARTS * z), np.exp(1j * _OFFSETS * z) / (z + 3.0), 19
+
+
+def _product(z):
+    heads, tails, rows = _factored(z)
+    return (heads[:, None, :] * tails).reshape(-1, z.shape[-1])[:rows]
+
+
+@pytest.mark.parametrize("order", [16, 64, 256])
+def test_factored_integrand_sums_as_its_product(order):
+    # row b B + j is heads[b] tails[j]; the factors' one matrix product
+    # gives each row's estimate to rounding, and max|f| to a few ulps
+    start, end = -1.0 + 0.2j, 1.5 - 0.3j
+    est, fmax = integrate_segment(_factored, start, end, order)
+    want, want_max = integrate_segment(_product, start, end, order)
+    assert est.shape == fmax.shape == want.shape == (19,)
+    nodes, weights = clenshaw_curtis_rule(order)
+    z = 0.5 * (start + end) + 0.5 * (end - start) * nodes
+    scale = abs(0.5 * (end - start)) * (np.abs(_product(z)) @ weights)
+    assert np.all(np.abs(est - want) <= 1e-14 * scale)
+    assert np.all(np.abs(fmax - want_max) <= 4 * np.spacing(want_max))
+
+
+@pytest.mark.parametrize("factor, value", [(0, np.inf), (0, np.nan), (1, np.inf),
+                                           (1, np.nan), ("inf*0", None)])
+def test_factored_integrand_that_is_not_finite_raises(factor, value):
+    # a head or a tail that holds inf or nan, and an inf head whose tails
+    # are all 0 there (inf * 0 = nan, and no product is inf), is NonFinite
+    # as its product would be
+    def f(z):
+        heads, tails, rows = _factored(z)
+        if factor == "inf*0":
+            heads[4, 3], tails[:, 3] = np.inf, 0.0
+        else:
+            (heads, tails)[factor][1, 5] = value
+        return heads, tails, rows
+
+    with pytest.raises(NonFinite), np.errstate(invalid="ignore"):
+        integrate_segment(f, -1.0, 1.0, 16)
+
+
+def test_factored_integrand_doubles_on_its_new_nodes():
+    # the doubled rule passes only its odd-indexed node columns to f, and
+    # interleaves both factors into the estimate of a fresh rule
+    columns = []
+
+    def f(z):
+        columns.append(z.shape[-1])
+        return _factored(z)
+
+    keeper = quadrature._Nested(f)
+    integrate_segment(keeper, -1.0, 1.0, 32)
+    est, fmax = integrate_segment(keeper, -1.0, 1.0, 64)
+    assert columns == [33, 32]
+    want, want_max = integrate_segment(_factored, -1.0, 1.0, 64)
+    assert est.tobytes() == want.tobytes() and fmax.tobytes() == want_max.tobytes()
+
+
+def test_blocked_direct_scan_never_forms_its_product():
+    # overshoot(64) scans 2,561 rows; with the rows x nodes product formed
+    # it peaked at 32 MiB
+    overshoot(64)   # warm the rule cache
+    tracemalloc.start()
+    try:
+        overshoot(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20

@@ -707,10 +707,11 @@ def _shuffled_values(om, m, ys):
     mixed, mixed_conts = special._evaluate(om, m, ys[order], 1.0, "direct")
     want = np.empty_like(mixed)
     want[order] = mixed
-    can, s, _, _ = special._canonical(normalize(om), ys, 1.0)
+    om = normalize(om)
+    can, s, u, _ = special._canonical(om, ys, 1.0)
     cont = direct_contour(can, m, float(s.min()), float(s.max()))
-    blocks = (special._block_rows(s[:, None], cont),
-              special._block_rows(s[order][:, None], cont))
+    blocks = (special._block_rows(s[:, None], cont, om.drift / u),
+              special._block_rows(s[order][:, None], cont, om.drift / u))
     return got, want, len(conts), len(mixed_conts), blocks
 
 
@@ -751,6 +752,42 @@ def test_blocked_direct_integrand_on_a_coarse_wide_grid(rows):
         assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
 
 
+@pytest.mark.parametrize("drift", [0.0, 3.0, 30.0, 300.0])
+def test_drifted_uniform_grid_keeps_its_blocks(monkeypatch, drift):
+    # the same shapes s = y - drift in [-2, 2]: at drift 300 they carry the
+    # rounding of y near 300, far above eps |s|, and are still a uniform grid
+    blocks, block_rows = [], special._block_rows
+
+    def recorded(*args):
+        blocks.append(block_rows(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(special, "_block_rows", recorded)
+    om, ys = {3: 1, 1: drift}, np.linspace(drift - 2.0, drift + 2.0, 400)
+    got = eval_I_grid(om, 0, ys, 1.0)
+    assert blocks == [20]
+    want = np.array([eval_I(om, 0, y, 1.0, method="direct") for y in ys])
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("m", range(-1, 10))
+def test_pole_factor_matches_the_power_it_replaces(m):
+    # at m = 0 the pole factor divides by iz without taking its first
+    # power; every m gives the power's values bit for bit, inf and nan too
+    rng = np.random.default_rng(m + 1)
+    z = rng.normal(size=(7, 65)) + 1j * rng.normal(size=(7, 65))
+    val = np.exp(rng.normal(size=z.shape) * 5 + 1j * rng.normal(size=z.shape))
+    z[0, :4] = [0.0, np.inf, np.nan, complex(np.inf, np.nan)]
+    val[1, :3] = [np.inf, np.nan, complex(0.0, np.inf)]
+    want = val.copy()
+    with np.errstate(all="ignore"):
+        if m >= 0:
+            want /= (1j * z) ** (m + 1)
+        want *= special._INV_TWO_PI
+        got = special._pole_factor(val.copy(), z, m)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("sigma", [1.0, -1.0])
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33])
 def test_overshoot_brackets_take_the_blocked_direct_integrand(monkeypatch, n, sigma):
@@ -782,4 +819,4 @@ def test_overshoot_brackets_take_the_blocked_direct_integrand(monkeypatch, n, si
     wider[-gibbs.CHEB_POINTS:] = 0.5 * (lo + hi + 1e-9) + 0.5 * (hi + 1e-9 - lo) * cheb
     can, s, _, _ = special._canonical(om, wider, 1.0)
     cont = direct_contour(can, 0, float(s.min()), float(s.max()))
-    assert special._block_rows(s[:, None], cont) == 1
+    assert special._block_rows(s[:, None], cont, 0.0) == 1
