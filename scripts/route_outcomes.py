@@ -29,9 +29,10 @@ and 400 uniform points y in [298, 302] of k^3 with drift 300 under direct
 overshoot_table([2, 3, 4, 17, 33]) at sigma = -1, t = 1, whose -k^3 row
 has its real-part maximum at the scan's end, and overshoot_table([63, 64])
 at sigma = 1, t = 1, whose scans of 2,500 rows and more take the blocked
-direct integrand (three "gibbs" lines, index null, "edge" and "high", the
-repr of the table), and the CSV that the benchmark's solve workload prints
-("solve").
+direct integrand, and overshoot_table([2, 4, 8]) at sigma = -1j, t = 1,
+real dissipative profiles (four "gibbs" lines, index null, "edge", "high"
+and "heat", the repr of the table), and the CSV that the benchmark's solve
+workload prints ("solve").
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
@@ -70,8 +71,10 @@ FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
 # (index, n_list, sigma) of the gibbs lines past the benchmark's table: the
 # real-part maximum of -k^3 sits at the scan's right end, so its Chebyshev
 # bracket is one shifted inward from the edge; n = 63 and 64 scan
-# 2,500 rows and more
-TABLES = (("edge", [2, 3, 4, 17, 33], -1.0), ("high", [63, 64], 1.0))
+# 2,500 rows and more; the dissipative -i k^n of even n are real profiles,
+# whose +-Im targets see only rounding and take no bracket
+TABLES = (("edge", [2, 3, 4, 17, 33], -1.0), ("high", [63, 64], 1.0),
+          ("heat", [2, 4, 8], -1j))
 
 
 def _outcome(line, value, show=repr):

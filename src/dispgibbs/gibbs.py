@@ -17,7 +17,7 @@ from numpy.polynomial import chebyshev
 
 from .dispersion import normalize
 from .quadrature import clenshaw_curtis_rule, integrate_segment
-from .special import eval_I, eval_I_grid  # noqa: F401  (perfbench/tracing.py wraps gibbs.eval_I)
+from .special import _index, eval_I, eval_I_grid  # noqa: F401  (perfbench/tracing.py wraps gibbs.eval_I)
 
 CHEB_POINTS = 33   # interpolation points per refinement bracket
 
@@ -61,21 +61,24 @@ def _cheb_maps(points):
     return to_coef, chebyshev.chebder(np.eye(points)) @ to_coef
 
 
-def _cheb_argmax(values):
-    """Argmax on [-1, 1] of the Chebyshev interpolant through `values`.
+def _cheb_argmax(values, g):
+    """Argmax on [-1, 1] of the Chebyshev interpolant through `values`, and
+    the interpolant through `g` at that point.
 
-    `values` sit at the descending Chebyshev points cos(pi k / N).  The
-    candidates are the two ends and the roots of the interpolant's
+    `values` and `g` sit at the descending Chebyshev points cos(pi k / N).
+    The candidates are the two ends and the roots of the interpolant's
     derivative (colleague-matrix eigenvalues) whose real part lies in
     [-1, 1]; taking the real part of every root keeps a nearly double
     critical point, and the best candidate wins on the interpolant itself,
-    sum_k c_k cos(k arccos x).
+    sum_k c_k cos(k arccos x).  The same cosine row gives g's interpolant
+    there.
     """
     to_coef, to_deriv = _cheb_maps(len(values))
     crit = chebyshev.chebroots(to_deriv @ values).real
     cand = np.concatenate(([-1.0, 1.0], crit[np.abs(crit) <= 1.0]))
-    interp = np.cos(np.outer(np.arccos(cand), np.arange(len(values)))) @ (to_coef @ values)
-    return float(cand[np.argmax(interp)])
+    basis = np.cos(np.outer(np.arccos(cand), np.arange(len(values))))
+    best = np.argmax(basis @ (to_coef @ values))
+    return float(cand[best]), basis[best] @ (to_coef @ g)
 
 
 def overshoot(n, sigma=1.0, t=1.0):
@@ -90,13 +93,16 @@ def overshoot(n, sigma=1.0, t=1.0):
     bracket share its values).  Every bracket has the same width, so their
     points repeat one set of offsets and the batch takes the blocked direct
     integrand (special._block_rows).  The interpolant's maximum is located,
-    and G is evaluated there.  Every stage is one eval_I_grid batch.  The
-    six extremal values are t-independent; the reported location
-    arg_sup_re scales with the query t.
+    and the interpolant of G gives G there, to the quadrature's rounding.
+    A target that spreads over the scan by no more than rounding (Im G of
+    a real profile) keeps its grid extremum and takes no bracket.  The
+    scan and the brackets are one eval_I_grid batch each.  The six
+    extremal values are t-independent; the reported location arg_sup_re
+    scales with the query t.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("need a dispersive monomial, n >= 2")
+    if _index(n) is None or n < 2:
+        raise ValueError(f"need a dispersive monomial, an integer n >= 2, got {n!r}")
+    n = _index(n)
     if not (math.isfinite(t) and t > 0):
         raise ValueError("overshoot needs a finite t > 0")
     omega = normalize({n: sigma})   # refuses n > MAX_DEGREE before the scan is built
@@ -114,25 +120,29 @@ def overshoot(n, sigma=1.0, t=1.0):
     }
     vals = profile(ys)
     best = [int(np.argmax(f(vals))) for f in targets.values()]
-    brackets = [(ys[j - 1], ys[j + 1]) for j in np.clip(best, 1, len(ys) - 2)]
+    # a target that spreads over the scan by at most 64 eps max|G| sees only
+    # rounding (Im G of a real profile): it keeps its scan extremum, unbracketed
+    noise = 64 * np.finfo(float).eps * np.abs(vals).max()
+    brackets = [(ys[j - 1], ys[j + 1]) if np.ptp(f(vals)) > noise else None
+                for j, f in zip(np.clip(best, 1, len(ys) - 2), targets.values())]
 
     def in_bracket(bracket, x):   # [-1, 1] -> bracket
         lo, hi = bracket
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
     # targets often share a grid extremum: each bracket is evaluated once
-    distinct = list(dict.fromkeys(brackets))
+    distinct = list(dict.fromkeys(filter(None, brackets)))
     cheb = clenshaw_curtis_rule(CHEB_POINTS - 1)[0]
     near = profile(np.concatenate([in_bracket(b, cheb) for b in distinct]))
-    near = near.reshape(len(distinct), CHEB_POINTS)[[distinct.index(b) for b in brackets]]
-    xs = np.array([in_bracket(b, _cheb_argmax(f(g)))
-                   for b, f, g in zip(brackets, targets.values(), near)])
-    at = profile(xs)
+    near = dict(zip(distinct, near.reshape(len(distinct), CHEB_POINTS)))
 
     out = {}
-    for key, f, i, x, g in zip(targets, targets.values(), best, xs, at):
-        if f(g) < f(vals[i]):     # refinement must never lose to the grid
-            x, g = ys[i], vals[i]
+    for key, f, i, b in zip(targets, targets.values(), best, brackets):
+        x, g = ys[i], vals[i]
+        if b:
+            c, at = _cheb_argmax(f(near[b]), near[b])
+            if f(at) >= f(g):     # refinement must never lose to the grid
+                x, g = in_bracket(b, c), at
         out[key] = float({"re": g.real, "im": g.imag, "abs": abs(g)}[key[4:]])
         if key == "sup_re":
             arg_sup_re = float(x)
@@ -151,9 +161,9 @@ def fourier_gibbs_reference(n_terms, x_grid):
     real, even, converging to the indicator of |x| < 1 with the classical
     overshoot 1 + g at the jumps.
     """
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise ValueError("need at least one Fourier term")
+    if _index(n_terms) is None or n_terms < 1:
+        raise ValueError(f"need an integer count of Fourier terms >= 1, got {n_terms!r}")
+    n_terms = _index(n_terms)
     x = np.asarray(x_grid, dtype=float)
     s = np.full_like(x, 0.5)
     for k in range(1, n_terms + 1):

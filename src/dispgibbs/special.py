@@ -66,6 +66,15 @@ MAX_PIECE_DEGREE = 8      # of an ivp piece; solve needs m up to it, ode_residua
 _INV_TWO_PI = 1.0 / (2.0 * math.pi)   # x * this is numpy's x / 2pi for complex x, bit for bit
 
 
+def _index(value):
+    """value as an int when it has an integer type other than bool (so 2.9
+    and '3' are refused), else None."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def _validate(m, ys, t, method):
     """Check a query once for its whole grid ys; returns m as an int.
 
@@ -73,11 +82,8 @@ def _validate(m, ys, t, method):
     past that the detour's pole factor 1/(iz)^(m+1) cancels in the sum and
     the values are wrong without warning.  The checks run in the order a
     lone point has always met them."""
-    try:
-        m_int = operator.index(m)
-    except TypeError:
-        m_int = None
-    if isinstance(m, bool) or m_int is None or m_int < -1:
+    m_int = _index(m)
+    if m_int is None or m_int < -1:
         raise ValueError(f"m must be an integer >= -1, got {m!r}")
     if m_int > MAX_PIECE_DEGREE + 1:
         raise ValueError(f"m must be at most {MAX_PIECE_DEGREE + 1}, got {m!r}")

@@ -189,7 +189,7 @@ def test_batched_work_goes_through_the_module_hooks(monkeypatch):
 
     eval_I_grid({3: 1.0}, 0, np.linspace(-8.0, 8.0, 33), 1.0)
     overshoot(3)
-    assert len(contours) == 1 + 3    # the grid; coarse, brackets, argmaxes
+    assert len(contours) == 1 + 2    # the grid; the scan and the brackets
     assert sums == contours
     segments = {(sg.start, sg.end) for c in contours for sg in c.segments}
     assert set(rules) == segments
@@ -208,9 +208,9 @@ def test_overshoot_evaluates_each_shared_bracket_once(monkeypatch):
 
     monkeypatch.setattr(gibbs, "eval_I_grid", counted)
     overshoot(3)
+    assert len(sizes) == 2    # the scan and the brackets
     assert sizes[1] % gibbs.CHEB_POINTS == 0
     assert sizes[1] < 6 * gibbs.CHEB_POINTS
-    assert sizes[2] == 6
 
 
 def _reference_argmax(values):
@@ -223,19 +223,27 @@ def _reference_argmax(values):
     return float(cand[np.argmax(chebyshev.chebval(cand, coef))])
 
 
+def _reference_at(x, g):
+    """The chebfit and chebval interpolant through g at x."""
+    nodes = quadrature.clenshaw_curtis_rule(len(g) - 1)[0]
+    return chebyshev.chebval(x, chebyshev.chebfit(nodes, g, len(g) - 1))
+
+
 def test_cheb_argmax_matches_the_reference_on_the_table_brackets(monkeypatch):
     seen = []
     argmax = gibbs._cheb_argmax
 
-    def recorded(values):
-        seen.append((values, argmax(values)))
-        return seen[-1][1]
+    def recorded(values, g):
+        seen.append((values, g, argmax(values, g)))
+        return seen[-1][2]
 
     monkeypatch.setattr(gibbs, "_cheb_argmax", recorded)
     overshoot_table([3, 5, 9])
-    assert len(seen) == 18
-    for values, got in seen:
+    # 4 targets each: the +-Im targets of the real profiles see only rounding
+    assert len(seen) == 12
+    for values, g, (got, at) in seen:
         assert abs(got - _reference_argmax(values)) <= 1e-9
+        assert abs(at - _reference_at(got, g)) <= 1e-14
 
 
 @pytest.mark.parametrize("f, where", [
@@ -249,7 +257,85 @@ def test_cheb_argmax_matches_the_reference_on_the_table_brackets(monkeypatch):
     (lambda x: (x - 0.3) ** 3 + 1e-14 * (x - 0.3), 1.0),
 ])
 def test_cheb_argmax_matches_the_reference_on_entire_functions(f, where):
-    values = f(quadrature.clenshaw_curtis_rule(gibbs.CHEB_POINTS - 1)[0])
-    got = gibbs._cheb_argmax(values)
+    x = quadrature.clenshaw_curtis_rule(gibbs.CHEB_POINTS - 1)[0]
+    values = f(x)
+    got, at = gibbs._cheb_argmax(values, np.exp(1j * x))
     assert abs(got - _reference_argmax(values)) <= 1e-9
     assert abs(got - where) <= 1e-9
+    assert abs(at - np.exp(1j * got)) <= 1e-14
+
+
+_PARTS = {"re": lambda g: g.real, "im": lambda g: g.imag, "abs": abs}
+_KEYS = ("sup_re", "inf_re", "sup_im", "inf_im", "sup_abs", "inf_abs")
+
+
+def _recorded_overshoot(monkeypatch, n, sigma):
+    """overshoot(n, sigma), its two eval_I_grid batches as (ys, G) and its
+    _cheb_argmax calls as (y, G there) on the bracket's y axis."""
+    batches, calls = [], []
+    grid, argmax = gibbs.eval_I_grid, gibbs._cheb_argmax
+
+    def recorded_grid(omega, m, ys, t, *args, **kwargs):
+        batches.append((np.array(ys), grid(omega, m, ys, t, *args, **kwargs) + 1.0))
+        return batches[-1][1] - 1.0
+
+    def recorded_argmax(values, g):
+        calls.append((g, argmax(values, g)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gibbs, "eval_I_grid", recorded_grid)
+    monkeypatch.setattr(gibbs, "_cheb_argmax", recorded_argmax)
+    rep = overshoot(n, sigma)
+    monkeypatch.undo()
+    assert len(batches) == 2    # the scan and the brackets
+    near_ys, near = (a.reshape(-1, gibbs.CHEB_POINTS) for a in batches[1])
+    located = []
+    for g, (x, at) in calls:
+        # the bracket whose Chebyshev values g are; its points descend from hi to lo
+        k = next(k for k, row in enumerate(near) if np.array_equal(row, g))
+        hi, lo = near_ys[k, 0], near_ys[k, -1]
+        located.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * x, at))
+    return rep, batches[0], located
+
+
+@pytest.mark.parametrize("n, sigma", [(n, s) for s in (1.0, -1.0) for n in (2, 3, 4, 5, 9, 17, 33, 64)]
+                         + [(n, -1j) for n in (2, 4, 16, 64)])
+def test_every_extremum_is_g_at_its_location(monkeypatch, n, sigma):
+    # each reported value is a part of G at a point the scan or an
+    # interpolant located; G there, integrated afresh, agrees to rounding
+    rep, (ys, scan), located = _recorded_overshoot(monkeypatch, n, sigma)
+    candidates = located + list(zip(ys, scan))
+    where = [rep.arg_sup_re] + [
+        next(y for y, g in candidates if _PARTS[key[4:]](g) == getattr(rep, key))
+        for key in _KEYS[1:]]
+    want = eval_I_grid({n: sigma}, 0, np.array(where), 1.0, method="direct") + 1.0
+    for key, g in zip(_KEYS, want):
+        assert abs(getattr(rep, key) - _PARTS[key[4:]](g)) <= 1e-14 * (1 + abs(g)), key
+
+
+@pytest.mark.parametrize("n, sigma, real", [
+    (3, 1.0, True), (5, 1.0, True), (9, -1.0, True), (2, -1j, True), (4, -1j, True),
+    (2, 1.0, False), (4, 1.0, False), (4, -1.0, False),
+])
+def test_targets_that_see_only_rounding_take_no_bracket(monkeypatch, n, sigma, real):
+    # Im G of a real profile (odd n at real sigma, even n at sigma = -i) is
+    # rounding noise: its targets keep the scan's extremes and no bracket
+    rep, (ys, scan), located = _recorded_overshoot(monkeypatch, n, sigma)
+    assert len(located) == (4 if real else 6)
+    if real:
+        assert rep.sup_im == scan.imag.max() and rep.inf_im == scan.imag.min()
+        assert rep.sup_im - rep.inf_im <= 64 * np.finfo(float).eps * np.abs(scan).max()
+
+
+def test_overshoot_refuses_a_degree_or_term_count_that_is_not_an_integer(report3):
+    for n in (2.9, 3.0, "3", True, None):
+        with pytest.raises(ValueError, match="an integer n >= 2"):
+            overshoot(n)
+    for n_terms in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="an integer count of Fourier terms"):
+            fourier_gibbs_reference(n_terms, [0.0, 0.5])
+    # any integer type is taken, as its int
+    rep = overshoot(np.int64(3))
+    assert rep == report3 and type(rep.n) is int
+    x = np.linspace(0.0, 2.0, 9)
+    assert fourier_gibbs_reference(np.int64(7), x).tobytes() == fourier_gibbs_reference(7, x).tobytes()

@@ -803,7 +803,7 @@ def test_overshoot_brackets_take_the_blocked_direct_integrand(monkeypatch, n, si
 
     monkeypatch.setattr(gibbs, "eval_I_grid", recorded)
     gibbs.overshoot(n, sigma)
-    ys = batches[1]    # the scan, the brackets, the six refined points
+    ys = batches[1]    # the scan, then the brackets
     om = normalize({n: sigma})
     got, want, conts, mixed_conts, (block, mixed_block) = _shuffled_values(om, 0, ys)
     assert block == gibbs.CHEB_POINTS and mixed_block == 1
