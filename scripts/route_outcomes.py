@@ -23,9 +23,10 @@ placed at y as the draws place theirs, the value being the repr of the
 list of values; then, once, the grids of FIXED_GRIDS at m = 0 and 1 (seed
 "fixed"): k^5 with four direct points and a descent window that fails from
 s = 34 on, under auto and descent, k^3 with one descent point under auto,
-and 400 uniform points y in [298, 302] of k^3 with drift 300 under direct
+400 uniform points y in [298, 302] of k^3 with drift 300 under direct
 (its shapes carry the rounding of y near 300 and still take blocks of
-20 rows); then overshoot_table([3, 5, 9]) at sigma = 1, t = 1,
+20 rows), and k^3 at y = 0.5, 6 and 1e300 under auto, whose scaled phase
+at 1e300 overflows (NoConvergence on the direct route); then overshoot_table([3, 5, 9]) at sigma = 1, t = 1,
 overshoot_table([2, 3, 4, 17, 33]) at sigma = -1, t = 1, whose -k^3 row
 has its real-part maximum at the scan's end, and overshoot_table([63, 64])
 at sigma = 1, t = 1, whose scans of 2,500 rows and more take the blocked
@@ -67,6 +68,7 @@ FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
     ({5: 1}, [-1.0, -0.5, 0.5, 1.0] + np.linspace(33.0, 36.0, 7).tolist(), ("auto", "descent")),
     ({3: 1}, [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0], ("auto",)),
     ({3: 1, 1: 300.0}, np.linspace(298.0, 302.0, 400).tolist(), ("direct",)),
+    ({3: 1}, [0.5, 6.0, 1e300], ("auto",)),
 )
 # (index, n_list, sigma) of the gibbs lines past the benchmark's table: the
 # real-part maximum of -k^3 sits at the scan's right end, so its Chebyshev

@@ -241,8 +241,8 @@ def rescaled(omega, t):
     Satisfies I_m(y, t) = t^(m/n) * I_m[omega_t](y t^(-1/n), 1); coefficient
     j picks up the factor t^(1 - j/n).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be finite and positive")
     n = omega.degree
     coeffs = tuple(c * t ** (1.0 - j / n) for j, c in enumerate(omega.coeffs))
     return DispersionRelation(coeffs, drift=omega.drift, phase_rate=omega.phase_rate)
@@ -284,33 +284,46 @@ class ScaledPhase:
 
 
 def scaled_phase(omega, y, t):
-    """ScaledPhase for the query (y, t); requires y != 0, t > 0."""
+    """ScaledPhase for the query (y, t); requires a finite y != 0 and a
+    finite t > 0.  Raises DegeneratePhase when X or a coefficient of W is
+    not finite (|y|/t past what the float range holds at this degree)."""
     if y == 0:
         raise ValueError("scaled phase undefined at y = 0")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be finite and positive")
     n = omega.degree
     sigma = 1.0 if y > 0 else -1.0
-    rho = abs(y) / t
-    s_f = rho ** (1.0 / (n - 1))
-    big_x = abs(y) * s_f
     w = [0j] * (n + 1)
-    for j, c in enumerate(omega.coeffs):
-        if c != 0:
-            w[j] = (t / big_x) * c * (sigma * s_f) ** j
+    with np.errstate(all="ignore"):
+        rho = abs(y) / t
+        s_f = rho ** (1.0 / (n - 1))
+        big_x = abs(y) * s_f
+        try:
+            for j, c in enumerate(omega.coeffs):
+                if c != 0:
+                    w[j] = (t / big_x) * c * (sigma * s_f) ** j
+        except (OverflowError, ZeroDivisionError):    # numpy scalars give inf
+            big_x = math.inf
+    if not (math.isfinite(big_x) and all(map(cmath.isfinite, w))):
+        raise DegeneratePhase(f"the scaled phase is not finite at |y|/t = {rho:.3g}")
     return ScaledPhase(sigma, big_x, s_f, tuple(w))
 
 
 def scaled_phase_rows(omega, ys):
     """scaled_phase(omega, y, 1) for every y of a 1-D array of nonzero shapes
     at once: a ScaledPhase whose sigma, big_x, scale and coefficients of W
-    are arrays with one entry per y, each as scaled_phase computes it."""
+    are arrays with one entry per y, each as scaled_phase computes it.  A
+    row where scaled_phase overflows keeps its non-finite entries, and
+    stationary_point_rows gives it count 0."""
     n = omega.degree
     sigma = np.where(ys > 0, 1.0, -1.0)
     s_f = np.abs(ys) ** (1.0 / (n - 1))
-    big_x = np.abs(ys) * s_f
-    w = tuple((1.0 / big_x) * c * (sigma * s_f) ** j if c != 0 else np.zeros(len(ys), complex)
-              for j, c in enumerate(omega.coeffs))
+    with np.errstate(all="ignore"):
+        big_x = np.abs(ys) * s_f
+        w = tuple((1.0 / big_x) * c * (sigma * s_f) ** j if c != 0 else np.zeros(len(ys), complex)
+                  for j, c in enumerate(omega.coeffs))
     return ScaledPhase(sigma, big_x, s_f, w)
 
 
@@ -382,10 +395,14 @@ def stationary_point_rows(phase):
     would build, then every row gets the same polish, collision check, count
     check and order.  Returns (points, count): points is (rows, n - 1), each
     row's count upper-half-plane points first, in stationary_points' order;
-    count is 0 on the rows stationary_points would reject.
+    count is 0 on the rows stationary_points would reject, and on the rows
+    whose phase overflowed (scaled_phase raises there), whose points are
+    those of a placeholder polynomial.
     """
     dw = polyder(phase.wcoeffs)
     f = tuple(c[:, None] for c in (dw[0] - 1.0,) + dw[1:])
+    finite = np.isfinite(phase.big_x) & np.isfinite(np.concatenate(f, axis=1)).all(axis=1)
+    f = tuple(np.where(finite[:, None], c, 1.0) for c in f)   # keeps eigvals off the overflow
     p = np.concatenate(f[::-1], axis=1)    # descending, as np.roots takes them
     rows, deg = p.shape[0], p.shape[1] - 1
     comp = np.zeros((rows, deg, deg), dtype=complex)
@@ -398,7 +415,7 @@ def stationary_point_rows(phase):
     collide = np.triu(near, 1).any(axis=(1, 2))
     keep = roots.imag >= -1e-12
     want = np.array([expected_stationary_count(phase.degree, w) for w in phase.leading.tolist()])
-    count = np.where(~collide & (keep.sum(axis=1) == want), want, 0)
+    count = np.where(finite & ~collide & (keep.sum(axis=1) == want), want, 0)
     roots.imag[roots.imag < 0.0] = 0.0    # max(imag, 0.0), which keeps -0.0
     angle = np.where(keep, np.arctan2(roots.imag, roots.real), np.inf)
     order = np.lexsort((np.abs(roots), angle), axis=1)

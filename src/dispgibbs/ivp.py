@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .dispersion import normalize, polyder, polyval
-from .special import MAX_PIECE_DEGREE, eval_I, eval_I_grid
+from .special import MAX_PIECE_DEGREE, _index, eval_I, eval_I_grid
 
 
 class NotAJump(ValueError):
@@ -192,14 +192,16 @@ def taylor_away(ic, omega, x, t, order):
     """
     om = normalize(omega)
     x = float(x)
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ValueError("the expansion needs a finite x and t")
     if x in ic.breakpoints:
         raise ValueError("the expansion is not defined at a breakpoint")
+    if _index(order) is None or order < 0:
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
+    order = _index(order)
     piece = ic.piece_at(x)
     if not piece:
         return 0j
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
     n = om.degree
     if len(piece) - 1 < n * order:
         raise PieceTooShallow(

@@ -75,6 +75,14 @@ def _index(value):
         return None
 
 
+def _checked_m(m):
+    """m as an int; m may be any integer type but bool, at least -1."""
+    m_int = _index(m)
+    if m_int is None or m_int < -1:
+        raise ValueError(f"m must be an integer >= -1, got {m!r}")
+    return m_int
+
+
 def _validate(m, ys, t, method):
     """Check a query once for its whole grid ys; returns m as an int.
 
@@ -82,9 +90,7 @@ def _validate(m, ys, t, method):
     past that the detour's pole factor 1/(iz)^(m+1) cancels in the sum and
     the values are wrong without warning.  The checks run in the order a
     lone point has always met them."""
-    m_int = _index(m)
-    if m_int is None or m_int < -1:
-        raise ValueError(f"m must be an integer >= -1, got {m!r}")
+    m_int = _checked_m(m)
     if m_int > MAX_PIECE_DEGREE + 1:
         raise ValueError(f"m must be at most {MAX_PIECE_DEGREE + 1}, got {m!r}")
     if not np.isfinite(ys).all():
@@ -438,11 +444,15 @@ def asymptotic_I(omega, m, y, t):
     descent contour through z_j; the residue plateau is carried separately
     and exactly.  Only the saddles are needed: no descent contour is built,
     so a query whose contours would fail their guards still has its
-    asymptotics.
+    asymptotics.  m is checked as eval_I checks it, without the cap that
+    eval_I's quadrature needs.
     """
     omega = normalize(omega)
-    if t <= 0:
-        raise ValueError("asymptotics need t > 0")
+    m = _checked_m(m)
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("asymptotics need a finite t > 0")
     can, s, u, factor = _canonical(omega, float(y), t)
     if s == 0:
         raise ValueError("asymptotics need y != 0")

@@ -416,6 +416,23 @@ def test_contour_dump_prints_the_contours_eval_I_integrates():
     eval_I({2: 1}, 0, 1.0, 1.0, method="descent")
 
 
+@pytest.mark.parametrize("command, args", [
+    ("eval", ("--omega", "3:1", "--t", "1", "--y-grid", "1e300:2e300:2")),
+    ("kernel", ("--omega", "3:1", "--t", "1", "--x-grid", "1e300:2e300:2")),
+    ("solve", ("--omega", "3:1", "--ic", "box", "--t", "1", "--x-grid", "1e300:2e300:2")),
+    ("eval", ("--omega", "2:-1i", "--t", "1", "--y-grid", "-1e160:-1e159:2")),
+])
+def test_phase_past_the_float_range_exits_3(command, args):
+    # the scaled phase overflows: was numpy's LinAlgError, reported as
+    # invalid input (exit 2); the direct route cannot cover these points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run(command, *args)
+    assert r.exit_code == 3
+    assert "direct contour needs" in r.stderr
+    assert f"failing query: {command} --omega {args[1]}" in r.stderr
+
+
 def test_eval_direct_contour_cap_exits_3():
     # a dominant real k^7 term at degree 9: about 4e7 direct segments
     r = run("eval", "--omega", "9:1,7:27.1", "--t", "1", "--y-grid", "0.5:1:2")

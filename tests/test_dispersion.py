@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion, eval_I,
                        format_omega, normalize, parse_omega, rescaled,
                        scaled_phase, stationary_points)
-from dispgibbs.dispersion import polyder, polyval
+from dispgibbs.dispersion import polyder, polyval, scaled_phase_rows, stationary_point_rows
 
 
 def test_normalize_strips_low_order_terms():
@@ -75,6 +76,40 @@ def test_rescaled_identity_random_k():
             lhs = om_t(k)
             rhs = t * om(k * t ** -0.25)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_rescaled_refuses_a_time_that_is_not_finite_and_positive(t):
+    # nan and inf gave a relation with nan coefficients
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        rescaled(normalize({3: 1, 2: 1}), t)
+
+
+def test_scaled_phase_refuses_a_shape_or_time_that_is_not_finite():
+    # t = nan gave a nan phase, t = inf a ZeroDivisionError
+    om = normalize({3: 1})
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            scaled_phase(om, 1.0, t)
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="y must be finite"):
+            scaled_phase(om, y, 1.0)
+
+
+def test_scaled_phase_past_the_float_range_is_degenerate():
+    # X = |y|^(n/(n-1)) overflows at y = 1e300 (was numpy's LinAlgError, or
+    # an OverflowError for a Python float); the batched solver gives such a
+    # row count 0 and leaves the other rows' bits alone
+    om = normalize({3: 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (1e300, np.float64(1e300), -1e300, 1e-300):
+            with pytest.raises(DegeneratePhase, match="scaled phase is not finite"):
+                scaled_phase(om, y, 1.0)
+        both = stationary_point_rows(scaled_phase_rows(om, np.array([6.0, 1e300, -9.0, -1e300])))
+        fit = stationary_point_rows(scaled_phase_rows(om, np.array([6.0, -9.0])))
+    assert both[1].tolist() == [fit[1][0], 0, fit[1][1], 0]
+    assert np.array_equal(both[0][[0, 2]], fit[0])
 
 
 def test_scaled_phase_heat_like():

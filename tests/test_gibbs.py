@@ -160,54 +160,30 @@ def test_overshoot_refinement_never_loses_to_the_grid(n, report3):
         assert rep.inf_abs < 1e-10
 
 
-def test_batched_work_goes_through_the_module_hooks(monkeypatch):
+def test_batched_work_goes_through_the_module_hooks(spy):
     # profilers and work budgets wrap these three names where the package
     # looks them up; batched evaluation must build and integrate through them
-    contours, sums, rules = [], [], []
-    build, integrate, rule = (special.direct_contour, special.integrate_contour,
-                              quadrature.integrate_segment)
-
-    def counted_build(*args, **kwargs):
-        contours.append(build(*args, **kwargs))
-        return contours[-1]
-
-    def counted_integrate(f, contour, **kwargs):
-        sums.append(contour)
-        return integrate(f, contour, **kwargs)
-
-    def counted_rule(f, start, end, order):
-        rules.append((start, end))
-        return rule(f, start, end, order)
-
-    def no_descent(*args, **kwargs):
-        raise AssertionError("batched evaluation built a descent contour")
-
-    monkeypatch.setattr(special, "direct_contour", counted_build)
-    monkeypatch.setattr(special, "integrate_contour", counted_integrate)
-    monkeypatch.setattr(special, "descent_system", no_descent)
-    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+    builds = spy(special, "direct_contour")
+    sums = spy(special, "integrate_contour")
+    spy(special, "descent_system", fail=AssertionError("batched evaluation built a descent contour"))
+    rules = spy(quadrature, "integrate_segment")
 
     eval_I_grid({3: 1.0}, 0, np.linspace(-8.0, 8.0, 33), 1.0)
     overshoot(3)
+    contours = [c for _, c in builds]
     assert len(contours) == 1 + 2    # the grid; the scan and the brackets
-    assert sums == contours
+    assert [args[1] for args, _ in sums] == contours
     segments = {(sg.start, sg.end) for c in contours for sg in c.segments}
-    assert set(rules) == segments
+    assert {args[1:3] for args, _ in rules} == segments
 
 
-def test_overshoot_evaluates_each_shared_bracket_once(monkeypatch):
+def test_overshoot_evaluates_each_shared_bracket_once(spy):
     # the six targets of the real, positive G_3 share grid extrema (sup |G|^2
     # with sup Re G, inf |G|^2 with inf Re G): each shared bracket's
     # Chebyshev points are evaluated once
-    sizes = []
-    grid = gibbs.eval_I_grid
-
-    def counted(omega, m, ys, t, *args, **kwargs):
-        sizes.append(len(ys))
-        return grid(omega, m, ys, t, *args, **kwargs)
-
-    monkeypatch.setattr(gibbs, "eval_I_grid", counted)
+    batches = spy(gibbs, "eval_I_grid")
     overshoot(3)
+    sizes = [len(ys) for (_, _, ys, _), _ in batches]
     assert len(sizes) == 2    # the scan and the brackets
     assert sizes[1] % gibbs.CHEB_POINTS == 0
     assert sizes[1] < 6 * gibbs.CHEB_POINTS
@@ -229,19 +205,12 @@ def _reference_at(x, g):
     return chebyshev.chebval(x, chebyshev.chebfit(nodes, g, len(g) - 1))
 
 
-def test_cheb_argmax_matches_the_reference_on_the_table_brackets(monkeypatch):
-    seen = []
-    argmax = gibbs._cheb_argmax
-
-    def recorded(values, g):
-        seen.append((values, g, argmax(values, g)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(gibbs, "_cheb_argmax", recorded)
+def test_cheb_argmax_matches_the_reference_on_the_table_brackets(spy):
+    seen = spy(gibbs, "_cheb_argmax")
     overshoot_table([3, 5, 9])
     # 4 targets each: the +-Im targets of the real profiles see only rounding
     assert len(seen) == 12
-    for values, g, (got, at) in seen:
+    for (values, g), (got, at) in seen:
         assert abs(got - _reference_argmax(values)) <= 1e-9
         assert abs(at - _reference_at(got, g)) <= 1e-14
 
@@ -269,28 +238,16 @@ _PARTS = {"re": lambda g: g.real, "im": lambda g: g.imag, "abs": abs}
 _KEYS = ("sup_re", "inf_re", "sup_im", "inf_im", "sup_abs", "inf_abs")
 
 
-def _recorded_overshoot(monkeypatch, n, sigma):
+def _recorded_overshoot(spy, n, sigma):
     """overshoot(n, sigma), its two eval_I_grid batches as (ys, G) and its
     _cheb_argmax calls as (y, G there) on the bracket's y axis."""
-    batches, calls = [], []
-    grid, argmax = gibbs.eval_I_grid, gibbs._cheb_argmax
-
-    def recorded_grid(omega, m, ys, t, *args, **kwargs):
-        batches.append((np.array(ys), grid(omega, m, ys, t, *args, **kwargs) + 1.0))
-        return batches[-1][1] - 1.0
-
-    def recorded_argmax(values, g):
-        calls.append((g, argmax(values, g)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(gibbs, "eval_I_grid", recorded_grid)
-    monkeypatch.setattr(gibbs, "_cheb_argmax", recorded_argmax)
+    grids, calls = spy(gibbs, "eval_I_grid"), spy(gibbs, "_cheb_argmax")
     rep = overshoot(n, sigma)
-    monkeypatch.undo()
+    batches = [(np.array(ys), values + 1.0) for (_, _, ys, _), values in grids]
     assert len(batches) == 2    # the scan and the brackets
     near_ys, near = (a.reshape(-1, gibbs.CHEB_POINTS) for a in batches[1])
     located = []
-    for g, (x, at) in calls:
+    for (_, g), (x, at) in calls:
         # the bracket whose Chebyshev values g are; its points descend from hi to lo
         k = next(k for k, row in enumerate(near) if np.array_equal(row, g))
         hi, lo = near_ys[k, 0], near_ys[k, -1]
@@ -300,10 +257,10 @@ def _recorded_overshoot(monkeypatch, n, sigma):
 
 @pytest.mark.parametrize("n, sigma", [(n, s) for s in (1.0, -1.0) for n in (2, 3, 4, 5, 9, 17, 33, 64)]
                          + [(n, -1j) for n in (2, 4, 16, 64)])
-def test_every_extremum_is_g_at_its_location(monkeypatch, n, sigma):
+def test_every_extremum_is_g_at_its_location(spy, n, sigma):
     # each reported value is a part of G at a point the scan or an
     # interpolant located; G there, integrated afresh, agrees to rounding
-    rep, (ys, scan), located = _recorded_overshoot(monkeypatch, n, sigma)
+    rep, (ys, scan), located = _recorded_overshoot(spy, n, sigma)
     candidates = located + list(zip(ys, scan))
     where = [rep.arg_sup_re] + [
         next(y for y, g in candidates if _PARTS[key[4:]](g) == getattr(rep, key))
@@ -317,10 +274,10 @@ def test_every_extremum_is_g_at_its_location(monkeypatch, n, sigma):
     (3, 1.0, True), (5, 1.0, True), (9, -1.0, True), (2, -1j, True), (4, -1j, True),
     (2, 1.0, False), (4, 1.0, False), (4, -1.0, False),
 ])
-def test_targets_that_see_only_rounding_take_no_bracket(monkeypatch, n, sigma, real):
+def test_targets_that_see_only_rounding_take_no_bracket(spy, n, sigma, real):
     # Im G of a real profile (odd n at real sigma, even n at sigma = -i) is
     # rounding noise: its targets keep the scan's extremes and no bracket
-    rep, (ys, scan), located = _recorded_overshoot(monkeypatch, n, sigma)
+    rep, (ys, scan), located = _recorded_overshoot(spy, n, sigma)
     assert len(located) == (4 if real else 6)
     if real:
         assert rep.sup_im == scan.imag.max() and rep.inf_im == scan.imag.min()

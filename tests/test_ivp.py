@@ -1,14 +1,15 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from scipy.special import erf
 
-from dispgibbs import (NotAJump, PiecewisePolynomialIC, PieceTooShallow, box,
-                       eval_I, jump_decomposition, normalize, quadrature,
+from dispgibbs import (NoConvergence, NotAJump, PiecewisePolynomialIC, PieceTooShallow,
+                       box, eval_I, jump_decomposition, normalize, quadrature,
                        rescaled_profile, smoothed_box, solve, special,
                        taylor_away, tent)
 
@@ -157,6 +158,22 @@ def test_taylor_guards():
     assert taylor_away(box(), HEAT, 0.2, 0.0, 0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("order", [1.5, True, "1", -1])
+def test_taylor_refuses_an_order_that_is_not_an_integer(order):
+    # 1.5 and True gave the order-1 value
+    with pytest.raises(ValueError, match="order must be an integer >= 0"):
+        taylor_away(box(), HEAT, 0.2, 0.3, order)
+    assert taylor_away(box(), HEAT, 0.2, 0.3, np.int64(0)) == 1.0
+
+
+@pytest.mark.parametrize("x, t", [(0.2, math.nan), (0.2, math.inf), (math.nan, 0.3),
+                                  (-math.inf, 0.3)])
+def test_taylor_refuses_a_point_or_time_that_is_not_finite(x, t):
+    # a time that is not finite gave nan, and x = nan gave 0j
+    with pytest.raises(ValueError, match="a finite x and t"):
+        taylor_away(box(), HEAT, x, t, 0)
+
+
 @pytest.mark.parametrize("order,ts", [
     (1, (1e-3, 3e-4, 1e-4)),
     (2, (1e-2, 3e-3, 1e-3)),
@@ -214,45 +231,36 @@ def test_array_solve_matches_scalar_solve(ic):
         solve(box(), {3: 1}, np.zeros((2, 2)), 0.1)
 
 
-def test_grid_solve_goes_through_the_module_hooks(monkeypatch):
+def test_grid_solve_goes_through_the_module_hooks(spy):
     # profilers and work budgets wrap these names where the package looks
     # them up; a grid solve must build and integrate through them, with one
     # batched descent build per jump instead of a descent system per point,
     # and one contour integral per saddle of each batch
-    calls = {"descent_system": 0, "descent_batches": 0, "direct_contour": 0,
-             "integrate_contour": 0}
-    contours, rules, saddles = [], [], []
-
-    def counted(name):
-        original = getattr(special, name)
-
-        def hook(*args, **kwargs):
-            calls[name] += 1
-            if name == "integrate_contour":
-                contours.append(args[1])
-            result = original(*args, **kwargs)
-            if name == "descent_batches":
-                saddles.extend(len(system.points) for _, system in result)
-            return result
-        return hook
-
-    for name in calls:
-        monkeypatch.setattr(special, name, counted(name))
-    rule = quadrature.integrate_segment
-
-    def counted_rule(f, start, end, order):
-        rules.append((start, end))
-        return rule(f, start, end, order)
-
-    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+    spy(special, "descent_system", fail=AssertionError("a grid solve built a lone descent system"))
+    batches = spy(special, "descent_batches")
+    builds = spy(special, "direct_contour")
+    sums = spy(special, "integrate_contour")
+    rules = spy(quadrature, "integrate_segment")
     xs = np.linspace(-2.0, 2.0, 41)
     solve(smoothed_box(0.1), {3: 1}, xs, 1e-3)
     jumps = len(jump_decomposition(smoothed_box(0.1)))
-    assert 0 < calls["direct_contour"] <= jumps
-    assert calls["descent_system"] == 0              # no per-point build
-    assert 0 < calls["descent_batches"] <= jumps
-    assert calls["integrate_contour"] <= sum(saddles) + calls["direct_contour"]
-    assert set(rules) == {(sg.start, sg.end) for c in contours for sg in c.segments}
+    saddles = sum(len(system.points) for _, built in batches for _, system in built)
+    assert 0 < len(builds) <= jumps
+    assert 0 < len(batches) <= jumps
+    assert len(sums) <= saddles + len(builds)
+    contours = [args[1] for args, _ in sums]
+    assert {args[1:3] for args, _ in rules} == {(sg.start, sg.end) for c in contours
+                                               for sg in c.segments}
+
+
+def test_solve_past_the_float_range_is_a_numerical_failure():
+    # the scaled phase overflows at x = 1e300: was numpy's LinAlgError, a
+    # ValueError; now the descent point falls back to direct, whose
+    # contour would need inf segments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="direct contour needs inf segments"):
+            solve(box(), {3: 1}, [1e300], 1.0)
 
 
 def test_concurrent_solves_match_serial_solves():

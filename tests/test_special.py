@@ -253,6 +253,46 @@ def test_asymptotic_needs_only_the_saddles(n, s):
         assert err < 5.0 * av.order_estimate * abs(av.oscillatory_part)
 
 
+def test_asymptotic_refuses_what_eval_I_refuses():
+    # m = -2 gave a number, m = True was taken as 1, m = 2.5 raised
+    # TypeError, and a t or y that is not finite raised numpy's LinAlgError
+    for m in (-2, True, 2.5, "1"):
+        with pytest.raises(ValueError, match="m must be an integer >= -1"):
+            asymptotic_I({3: 1}, m, 10.0, 1.0)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="asymptotics need a finite t > 0"):
+            asymptotic_I({3: 1}, 0, 10.0, t)
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="y must be finite"):
+            asymptotic_I({3: 1}, 0, y, 1.0)
+    # no cap on m: eval_I's comes from its quadrature, and there is none here
+    assert asymptotic_I({3: 1}, np.int64(12), 10.0, 1.0) == asymptotic_I({3: 1}, 12, 10.0, 1.0)
+
+
+def test_a_phase_past_the_float_range_fails_as_a_numerical_error(spy):
+    # at y = 1e300 the scaled phase of k^3 overflows (was numpy's
+    # LinAlgError, a ValueError: CLI exit 2). The lone build and the
+    # asymptotics raise DegeneratePhase; under auto the point takes the
+    # direct route, which cannot cover it, as at {2: -1j}, y = 1e150
+    om = normalize({3: 1})
+    want = [eval_I(om, 0, y, 1.0) for y in (0.5, 6.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePhase, match="scaled phase is not finite"):
+            eval_I(om, 0, 1e300, 1.0, method="descent")
+        with pytest.raises(DegeneratePhase, match="scaled phase is not finite"):
+            asymptotic_I(om, 0, 1e300, 1.0)
+        for omega, y in ((om, 1e300), ({2: -1j}, -1e160), ({2: -1j}, 1e150)):
+            with pytest.raises(NoConvergence, match="direct contour needs"):
+                eval_I(omega, 0, y, 1.0)
+        ones = spy(special, "_one")
+        with pytest.raises(NoConvergence, match="direct contour needs inf segments"):
+            eval_I_grid(om, 0, [0.5, 6.0, 1e300], 1.0, method="auto")
+    # the grid failed and went point by point: its first two points answer
+    # as they do alone, and the third raises
+    assert [vals[0] for _, (vals, _) in ones] == want
+
+
 def test_asymptotic_parts_consistent():
     av = asymptotic_I(normalize({3: 1}), 0, -12.0, 1.0)
     assert av.total == av.residue_part + av.oscillatory_part
@@ -588,27 +628,18 @@ def test_eval_I_grid_descent_in_the_k5_window_raises_as_its_first_failing_point(
         assert str(got.value) == str(failures[0])
 
 
-def test_eval_I_grid_one_descent_point_is_batched(monkeypatch):
+def test_eval_I_grid_one_descent_point_is_batched(spy):
     # a grid's lone descent point takes the batched build like any other
     om = normalize({3: 1})
     ys = [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0]
     assert [_route(om, 0, y, 1.0) for y in ys].count("direct") == 5
     want = {m: np.array([eval_I(om, m, y, 1.0) for y in ys]) for m in (0, 1)}
-    built, batches = [], special.descent_batches
-
-    def no_descent_system(*args):
-        raise AssertionError("a grid built a lone descent system")
-
-    def counted(*args):
-        built.append(batches(*args))
-        return built[-1]
-
-    monkeypatch.setattr(special, "descent_system", no_descent_system)
-    monkeypatch.setattr(special, "descent_batches", counted)
+    spy(special, "descent_system", fail=AssertionError("a grid built a lone descent system"))
+    built = spy(special, "descent_batches")
     for m in (0, 1):
         got = eval_I_grid(om, m, ys, 1.0, method="auto")
         assert np.all(np.abs(got - want[m]) <= 1e-12 * (1 + np.abs(want[m]))), m
-    assert [[rows.tolist() for rows, _ in b] for b in built] == [[[0]], [[0]]]
+    assert [[rows.tolist() for rows, _ in b] for _, b in built] == [[[0]], [[0]]]
 
 
 @pytest.mark.parametrize("error", [NoConvergence, NonFinite])
@@ -672,27 +703,16 @@ def test_descent_at_shape_zero_is_refused_on_both_paths():
         eval_I({3: 1, 1: 2.0}, 0, 2.0, 1.0, method="descent")
 
 
-def test_lone_direct_query_shares_rules_through_the_hook(monkeypatch):
+def test_lone_direct_query_shares_rules_through_the_hook(spy):
     # the segments of a lone contour are refined in lockstep: a handful of
     # rule calls (14, one segment each, when refined one by one), and every
     # segment still goes through the hook that profilers and budgets wrap
-    contours, rules = [], []
-    build, rule = special.direct_contour, quadrature.integrate_segment
-
-    def counted_build(*args, **kwargs):
-        contours.append(build(*args, **kwargs))
-        return contours[-1]
-
-    def counted_rule(f, start, end, order):
-        rules.append((start, end))
-        return rule(f, start, end, order)
-
-    monkeypatch.setattr(special, "direct_contour", counted_build)
-    monkeypatch.setattr(quadrature, "integrate_segment", counted_rule)
+    builds = spy(special, "direct_contour")
+    rules = spy(quadrature, "integrate_segment")
     eval_I({3: 1}, 0, 0.5, 1.0)
-    (contour,) = contours
+    ((_, contour),) = builds
     assert len(rules) <= 6 < len(contour.segments)
-    seen = {pair for start, end in rules
+    seen = {pair for (_, start, end, _), _ in rules
             for pair in (zip(start, end) if isinstance(start, tuple) else [(start, end)])}
     assert seen == {(sg.start, sg.end) for sg in contour.segments}
 
@@ -753,19 +773,13 @@ def test_blocked_direct_integrand_on_a_coarse_wide_grid(rows):
 
 
 @pytest.mark.parametrize("drift", [0.0, 3.0, 30.0, 300.0])
-def test_drifted_uniform_grid_keeps_its_blocks(monkeypatch, drift):
+def test_drifted_uniform_grid_keeps_its_blocks(spy, drift):
     # the same shapes s = y - drift in [-2, 2]: at drift 300 they carry the
     # rounding of y near 300, far above eps |s|, and are still a uniform grid
-    blocks, block_rows = [], special._block_rows
-
-    def recorded(*args):
-        blocks.append(block_rows(*args))
-        return blocks[-1]
-
-    monkeypatch.setattr(special, "_block_rows", recorded)
+    blocks = spy(special, "_block_rows")
     om, ys = {3: 1, 1: drift}, np.linspace(drift - 2.0, drift + 2.0, 400)
     got = eval_I_grid(om, 0, ys, 1.0)
-    assert blocks == [20]
+    assert [block for _, block in blocks] == [20]
     want = np.array([eval_I(om, 0, y, 1.0, method="direct") for y in ys])
     assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
@@ -790,20 +804,13 @@ def test_pole_factor_matches_the_power_it_replaces(m):
 
 @pytest.mark.parametrize("sigma", [1.0, -1.0])
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33])
-def test_overshoot_brackets_take_the_blocked_direct_integrand(monkeypatch, n, sigma):
+def test_overshoot_brackets_take_the_blocked_direct_integrand(spy, n, sigma):
     # every bracket is two grid steps wide, at the scan's ends too, so the
     # batch repeats one block of CHEB_POINTS offsets; the same points
     # shuffled take one exp per value on the same contour
-    batches = []
-    grid = gibbs.eval_I_grid
-
-    def recorded(omega, m, ys, t, *args, **kwargs):
-        batches.append(np.array(ys))
-        return grid(omega, m, ys, t, *args, **kwargs)
-
-    monkeypatch.setattr(gibbs, "eval_I_grid", recorded)
+    batches = spy(gibbs, "eval_I_grid")
     gibbs.overshoot(n, sigma)
-    ys = batches[1]    # the scan, then the brackets
+    ys = np.array(batches[1][0][2])    # the scan, then the brackets
     om = normalize({n: sigma})
     got, want, conts, mixed_conts, (block, mixed_block) = _shuffled_values(om, 0, ys)
     assert block == gibbs.CHEB_POINTS and mixed_block == 1
