@@ -32,8 +32,11 @@ has its real-part maximum at the scan's end, and overshoot_table([63, 64])
 at sigma = 1, t = 1, whose scans of 2,500 rows and more take the blocked
 direct integrand, and overshoot_table([2, 4, 8]) at sigma = -1j, t = 1,
 real dissipative profiles (four "gibbs" lines, index null, "edge", "high"
-and "heat", the repr of the table), and the CSV that the benchmark's solve
-workload prints ("solve").
+and "heat", the repr of the table); then one "cli" line for each run of
+CLI_RUNS, the command line in-process with what it writes to stdout and
+stderr and its exit code: the benchmark's solve workload (its CSV), eval
+and kernel as CSV, gibbs-table as markdown and as JSON, one contour-dump,
+and one usage error (exit 2).
 
 With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
@@ -47,8 +50,6 @@ code is 1 when any line differs.
 """
 
 import argparse
-import contextlib
-import io
 import itertools
 import json
 import re
@@ -56,6 +57,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -77,6 +79,18 @@ FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
 # whose +-Im targets see only rounding and take no bracket
 TABLES = (("edge", [2, 3, 4, 17, 33], -1.0), ("high", [63, 64], 1.0),
           ("heat", [2, 4, 8], -1j))
+# (index, arguments) of the cli lines: every command that writes, and a bad
+# --t list, which is refused before any work
+CLI_RUNS = (
+    ("solve", SOLVE_ARGS),
+    ("eval", ("eval", "--omega", "3:1,2:-0.5i", "--m", "1", "--t", "0.3", "--y-grid", "-6:6:25")),
+    ("kernel", ("kernel", "--omega", "3:1", "--t", "0.5", "--x-grid", "-10:10:41")),
+    ("gibbs-markdown", ("gibbs-table", "--n", "2,3", "--format", "markdown")),
+    ("gibbs-json", ("gibbs-table", "--n", "2,3", "--sigma", "-1", "--format", "json")),
+    ("contour-dump", ("contour-dump", "--omega", "3:1", "--y", "12", "--t", "1")),
+    ("usage-error", ("solve", "--omega", "3:1", "--ic", "box", "--t", "0.1,x",
+                     "--x-grid", "-1:1:3")),
+)
 
 
 def _outcome(line, value, show=repr):
@@ -122,21 +136,24 @@ def fixed_grid_outcomes():
                            lambda: eval_I_grid(coeffs, m, ys, 1.0, method=method).tolist())
 
 
+def _cli(args):
+    """What `dispgibbs ARGS` writes to stdout, then to stderr, then its exit
+    code; an exception that is not an exit is raised."""
+    result = CliRunner().invoke(cli.main, list(args), prog_name="dispgibbs")
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    return f"{result.stdout}{result.stderr}exit code {result.exit_code}\n"
+
+
 def batch_products():
-    """The benchmark's gibbs table, those of TABLES, and the benchmark's solve CSV."""
+    """The benchmark's gibbs table, those of TABLES, and the runs of CLI_RUNS."""
     for index, n_list, sigma in ((None, list(GIBBS_DEGREES), 1.0), *TABLES):
         yield _outcome({"seed": None, "index": index, "method": "gibbs",
                         "query": repr((n_list, sigma, 1.0))},
                        lambda: gibbs.overshoot_table(n_list, sigma=sigma, t=1.0))
-
-    def solve_csv():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli.main.main(args=list(SOLVE_ARGS), standalone_mode=False)
-        return out.getvalue()
-
-    yield _outcome({"seed": None, "index": None, "method": "solve",
-                    "query": " ".join(SOLVE_ARGS)}, solve_csv, show=str)
+    for index, args in CLI_RUNS:
+        yield _outcome({"seed": None, "index": index, "method": "cli",
+                        "query": " ".join(args)}, lambda: _cli(args), show=str)
 
 
 # complex reprs, bare or inside numpy's "np.complex128(...)", and real
@@ -187,7 +204,7 @@ def compare(lines, against):
 def main(argv):
     parser = argparse.ArgumentParser(description="eval_I outcomes on the queries draws")
     parser.add_argument("--grid", action="store_true",
-                        help="pin eval_I_grid, the gibbs table and the solve CSV instead")
+                        help="pin eval_I_grid, the gibbs tables and the CLI's outputs instead")
     parser.add_argument("--against", type=argparse.FileType(),
                         help="compare with this earlier output instead of printing")
     parser.add_argument("seeds", nargs="+", type=int)

@@ -61,6 +61,15 @@ def _parse_grid(text):
     return np.linspace(a, b, n)
 
 
+def _parse_list(text, kind, option):
+    """The comma-separated entries of text, each as kind; an entry kind
+    refuses is a usage error of option."""
+    try:
+        return [kind(s) for s in text.split(",") if s]
+    except ValueError:
+        raise click.UsageError(f"bad {option} list {text!r}")
+
+
 def _parse_omega_opt(text):
     try:
         return parse_omega(text)
@@ -101,13 +110,27 @@ def _emit(text, output):
 
 
 def _table(header, rows, fmt):
-    """rows as CSV (fmt "csv") or as a JSON list of {column: value}."""
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    payload = [dict(zip(header, (float(v) for v in row))) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    """rows as CSV, as a markdown table, or as a JSON list of {column: value}."""
+    if fmt == "json":
+        payload = [dict(zip(header, (float(v) for v in row))) for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    if fmt == "markdown":   # the CSV's lines, whose cells hold no comma
+        lines = ["| " + line.replace(",", " | ") + " |" for line in lines]
+        lines.insert(1, "|" + "---|" * len(header))
+    return "\n".join(lines) + "\n"
+
+
+def _writes(*formats):
+    """The options of a command that writes: --format, one of formats with
+    the first the default (none when formats is empty), and --output."""
+    def options(cmd):
+        cmd = click.option("--output", default="-", show_default=True)(cmd)
+        if formats:
+            cmd = click.option("--format", "fmt", default=formats[0], show_default=True,
+                               type=click.Choice(formats))(cmd)
+        return cmd
+    return options
 
 
 def _usable_cpus():
@@ -167,9 +190,7 @@ def main():
 @click.option("--y-grid", "ygrid", required=True, help="a:b:n inclusive grid")
 @click.option("--method", default="auto", show_default=True,
               type=click.Choice(["auto", "direct", "descent"]))
-@click.option("--format", "fmt", default="csv", show_default=True,
-              type=click.Choice(["csv", "json"]))
-@click.option("--output", default="-", show_default=True)
+@_writes("csv", "json")
 def eval_cmd(omega, m, t, ygrid, method, fmt, output):
     """Evaluate I_{omega,m}(y, t) over a y grid."""
     om = _parse_omega_opt(omega)
@@ -187,18 +208,13 @@ def eval_cmd(omega, m, t, ygrid, method, fmt, output):
 @click.option("--t", "tlist", required=True,
               help="comma-separated times, e.g. 1e-6,1e-4")
 @click.option("--x-grid", "xgrid", required=True)
-@click.option("--format", "fmt", default="csv", show_default=True,
-              type=click.Choice(["csv", "json"]))
-@click.option("--output", default="-", show_default=True)
+@_writes("csv", "json")
 def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
     """Evolve a piecewise-polynomial IC and tabulate q(x, t)."""
     om = _parse_omega_opt(omega)
     data = _parse_ic(ic)
     xs = _parse_grid(xgrid)
-    try:
-        ts = [float(s) for s in tlist.split(",") if s]
-    except ValueError:
-        raise click.UsageError(f"bad --t list {tlist!r}")
+    ts = _parse_list(tlist, float, "--t")
     if not ts or any(t < 0 or not math.isfinite(t) for t in ts):
         raise click.UsageError("--t needs finite times >= 0")
 
@@ -231,9 +247,7 @@ def solve_cmd(omega, ic, tlist, xgrid, fmt, output):
 @click.option("--omega", required=True)
 @click.option("--t", required=True, type=float)
 @click.option("--x-grid", "xgrid", required=True)
-@click.option("--format", "fmt", default="csv", show_default=True,
-              type=click.Choice(["csv", "json"]))
-@click.option("--output", default="-", show_default=True)
+@_writes("csv", "json")
 def kernel_cmd(omega, t, xgrid, fmt, output):
     """Fundamental solution K_t(x) = I_{omega,-1}(x, t)."""
     om = _parse_omega_opt(omega)
@@ -251,29 +265,17 @@ GIBBS_COLUMNS = ("n", "sigma", "sup_re", "inf_re", "sup_im", "inf_im",
 @main.command("gibbs-table")
 @click.option("--n", "nlist", required=True, help="comma-separated degrees, e.g. 2,3,5")
 @click.option("--sigma", default=1.0, show_default=True, type=float)
-@click.option("--format", "fmt", default="csv", show_default=True,
-              type=click.Choice(["csv", "json", "markdown"]))
-@click.option("--output", default="-", show_default=True)
+@_writes("csv", "json", "markdown")
 def gibbs_cmd(nlist, sigma, fmt, output):
     """Overshoot extrema of the jump profile for monomial dispersion."""
-    try:
-        ns = [int(s) for s in nlist.split(",") if s]
-    except ValueError:
-        raise click.UsageError(f"bad --n list {nlist!r}")
+    ns = _parse_list(nlist, int, "--n")
     if not ns or any(n < 2 for n in ns):
         raise click.UsageError("--n needs integers >= 2")
     with _failures(f"gibbs-table --n {nlist} --sigma {sigma}"):
         reports = overshoot_table(ns, sigma=sigma)
     rows = [(r.n, complex(r.sigma).real, r.sup_re, r.inf_re, r.sup_im,
              r.inf_im, r.sup_abs, r.inf_abs, r.arg_sup_re) for r in reports]
-    if fmt == "markdown":
-        head = "| " + " | ".join(GIBBS_COLUMNS) + " |"
-        rule = "|" + "|".join("---" for _ in GIBBS_COLUMNS) + "|"
-        body = ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in rows]
-        text = "\n".join([head, rule] + body) + "\n"
-    else:
-        text = _table(GIBBS_COLUMNS, rows, fmt)
-    _emit(text, output)
+    _emit(_table(GIBBS_COLUMNS, rows, fmt), output)
 
 
 @main.command("contour-dump")
@@ -283,7 +285,7 @@ def gibbs_cmd(nlist, sigma, fmt, output):
 @click.option("--t", required=True, type=float)
 @click.option("--kind", default="auto", show_default=True,
               type=click.Choice(["auto", "direct", "descent", "detour"]))
-@click.option("--output", default="-", show_default=True)
+@_writes()
 def contour_cmd(omega, m, y, t, kind, output):
     """Integration-path segments as JSON [{re0, im0, re1, im1, order}].
 
@@ -307,26 +309,19 @@ def contour_cmd(omega, m, y, t, kind, output):
     _emit(json.dumps(segs, indent=2) + "\n", output)
 
 
-def _cerf(points):
-    """erf at each of points, one point at a time, as 1 - exp(-z^2) w(iz)
-    with w the Faddeeva function."""
-    from scipy.special import wofz
-    return np.array([1.0 - np.exp(-z * z) * wofz(1j * z) for z in map(complex, points)])
-
-
 def _suite_oracles():
-    from scipy.special import airy
+    from scipy.special import airy, erf
     from .quadrature import integrate_segment
 
     lines = []
     s = np.linspace(-10.0, 10.0, 201)
 
     heat = np.array([eval_I({2: -1j}, 0, float(y), 1.0) for y in s])
-    err = np.abs(heat - 0.5 * (_cerf(v / 2 for v in s) - 1.0)).max()
+    err = np.abs(heat - 0.5 * (erf(s / 2) - 1.0)).max()
     lines.append(("heat vs erf", err, 1e-8))
 
     sch = np.array([eval_I({2: 1.0}, 0, float(y), 1.0) for y in s])
-    ref = 0.5 * (_cerf(np.exp(-1j * np.pi / 4) * v / 2 for v in s) - 1.0)
+    ref = 0.5 * (erf(np.exp(-1j * np.pi / 4) * s / 2) - 1.0)
     err = np.abs(sch - ref).max()
     lines.append(("schrodinger vs erf", err, 1e-8))
 
@@ -398,7 +393,7 @@ def _suite_limits():
 
 def _suite_gibbs():
     # G_n = I_{k^n,0} + 1 tends to the classical overshoot 1 + g as n grows
-    from scipy.special import sici
+    from scipy.special import erf, sici
     g = wilbraham_gibbs_constant()
     lines = [("gibbs constant vs Si(pi)", abs(g - (sici(math.pi)[0] / math.pi - 0.5)), 1e-12)]
 
@@ -422,7 +417,7 @@ def _suite_gibbs():
 
     # Schrodinger (n = 2): G_2 = (erf(e^{-i pi/4} y/2) + 1)/2, peaked on [0, 10]
     y = np.linspace(0.0, 10.0, 50001)
-    ref = (_cerf(np.exp(-1j * np.pi / 4) * v / 2 for v in y).real.max() + 1.0) / 2
+    ref = (erf(np.exp(-1j * np.pi / 4) * y / 2).real.max() + 1.0) / 2
     lines.append(("overshoot n=2 sup_re vs Fresnel closed form",
                   abs(overshoot(2).sup_re - ref), 1e-6))
     return all(err < tol for _, err, tol in lines), lines

@@ -112,8 +112,15 @@ def decay_directions(n, wlead):
     Solve arg(-i wlead) + n*theta = pi (mod 2pi):
     theta_j = (3pi/2 - arg(wlead) + 2pi j)/n.  For real wlead these are the
     odd multiples of pi/(2n) on which wlead*sin(n theta) < 0; for the heat
-    operator (wlead = -i) they collapse onto the real axis.
+    operator (wlead = -i) they collapse onto the real axis.  One wlead gives
+    a list of floats, by cmath: a lone build calls this, and numpy on one
+    value costs several times more.  An array of wlead gives one row of
+    directions each, by numpy, whose arctan2 may differ from cmath's in the
+    last bit.
     """
+    if isinstance(wlead, np.ndarray):
+        base = (1.5 * math.pi - np.angle(wlead)[..., None]) / n
+        return (base + 2.0 * math.pi * np.arange(n) / n) % (2.0 * math.pi)
     base = (1.5 * math.pi - cmath.phase(complex(wlead))) / n
     return [(base + 2.0 * math.pi * j / n) % (2.0 * math.pi) for j in range(n)]
 
@@ -559,7 +566,6 @@ def descent_batches(phase, m, guarded):
 def _descent_rows(phase, P, m, guarded):
     """descent_batches for rows with K saddles each, P (rows, K): returns
     (ok, system) with system built on the ok rows only."""
-    n = phase.degree
     K = P.shape[1]
     X = phase.big_x[:, None]
     phi2 = -1j * polyval(polyder(tuple(c[:, None] for c in phase.wcoeffs), 2), P)
@@ -575,9 +581,7 @@ def _descent_rows(phase, P, m, guarded):
     ref = phase.phi_rows(P).real
 
     # the valleys bracketing each saddle's position angle (_adjacent_valleys)
-    base = (1.5 * math.pi - np.angle(phase.leading)) / n
-    dirs = (base[:, None] + 2.0 * math.pi * np.arange(n) / n) % (2.0 * math.pi)
-    ds = np.sort(dirs % (2.0 * math.pi), axis=1)
+    ds = np.sort(decay_directions(phase.degree, phase.leading), axis=1)
     ext = np.concatenate([ds[:, -1:] - 2.0 * math.pi, ds, ds[:, :1] + 2.0 * math.pi], axis=1)
     a = np.arctan2(P.imag, P.real) % (2.0 * math.pi)
     i = (ds[:, None, :] <= a[:, :, None] + 1e-12).sum(axis=2)

@@ -110,8 +110,15 @@ def residue_part(omega, m, y, t):
     """-i * Res_{k=0}[exp(iky - i omega(k) t)/(ik)^(m+1)] * chi_(y<0).
 
     The residue is the k^m Taylor coefficient e_m of exp(iky - i omega(k) t)
-    divided by i^(m+1); exp-of-series gives e_m exactly in m steps.
+    divided by i^(m+1); exp-of-series gives e_m exactly in m steps.  m, y
+    and t are checked as eval_I checks them, without the cap on m that
+    eval_I's quadrature needs.
     """
+    m = _checked_m(m)
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
     if m < 0 or y >= 0:
         return 0j
     g = np.zeros(m + 1, dtype=complex)
@@ -513,6 +520,8 @@ def ode_residual(omega, m, y, t, h=1e-3):
     omega = normalize(omega)
     if t <= 0:
         raise ValueError("ode residual needs t > 0")
+    if not (math.isfinite(h) and h != 0):
+        raise ValueError(f"ode residual needs a finite step h != 0, got {h!r}")
     n = omega.degree
     dmax = n - 1
     half = (dmax + 5) // 2

@@ -93,6 +93,21 @@ def test_grid_past_the_cap_is_a_usage_error(monkeypatch, command, grid):
     assert f"at most {cli.MAX_GRID_POINTS} points" in r.stderr
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:x:5", "numeric fields"),
+    ("0:1:2.5", "numeric fields"),
+    ("0:1:1", "at least 2 points"),
+])
+def test_grid_with_a_bad_field_or_under_2_points_is_a_usage_error(grid, message):
+    r = run("eval", "--omega", "3:1", "--t", "1", "--y-grid", grid)
+    assert r.exit_code == 2 and message in r.stderr
+
+
+def test_solve_with_a_non_numeric_time_is_a_usage_error():
+    r = run("solve", "--omega", "3:1", "--ic", "box", "--t", "0.1,x", "--x-grid", "-1:1:3")
+    assert r.exit_code == 2 and "bad --t list '0.1,x'" in r.stderr
+
+
 def test_grid_at_the_cap_is_parsed():
     assert len(cli._parse_grid(f"-1:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
 
@@ -290,6 +305,13 @@ def test_verify_all_suites():
     assert suites == {"gibbs", "limits", "ode", "oracles"}
 
 
+def test_verify_exits_1_on_a_failing_line(monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "limits", lambda: (False, [("forced", 1.0, 0.5)]))
+    r = run("verify", "limits")
+    assert r.exit_code == 1
+    assert r.output == "FAIL [limits] forced: err 1.000e+00 (tol 0.5)\n"
+
+
 def test_thread_count_does_not_change_bytes(monkeypatch):
     args = ("solve", "--omega", "2:1", "--ic", "box", "--t", "0.05,0.2,0.6",
             "--x-grid", "-3:3:25")
@@ -387,15 +409,18 @@ def test_workers_follow_the_affinity_mask_not_the_host(monkeypatch):
 
 def test_a_solve_does_not_import_concurrent_futures():
     # concurrent.futures takes about 6 ms to import, most of it logging,
-    # which every one-time solve would pay for no gain
+    # which every one-time solve would pay for no gain; scipy takes about
+    # 0.2 s, and only verify's reference values need it
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys\nfrom dispgibbs.cli import main\n"
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules), file=sys.stderr)\n"
             "main(['solve', '--omega', '2:1', '--ic', 'box', '--t', '0.05,0.2',"
             " '--x-grid', '-1:1:3'], standalone_mode=False)\n"
-            "print('concurrent.futures' in sys.modules, file=sys.stderr)")
+            "print('concurrent.futures' in sys.modules, file=sys.stderr)\n"
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stderr.strip() == "False"
+    assert out.stderr.split() == ["False", "False", "False"]
 
 
 def test_contour_dump_prints_the_contours_eval_I_integrates():

@@ -18,6 +18,19 @@ def test_normalize_strips_low_order_terms():
     assert om.phase_rate == 5
 
 
+def test_normalize_takes_an_ascending_sequence():
+    om = normalize([0.5, 2.0, -1j])
+    assert om == normalize({0: 0.5, 1: 2.0, 2: -1j})
+    assert om.coeffs == (0j, 0j, -1j) and om.drift == 2.0 and om.phase_rate == 0.5
+
+
+def test_normalize_refuses_a_non_integer_degree_and_a_complex_drift():
+    with pytest.raises(InvalidDispersion, match="non-integer degree 2.5"):
+        normalize({2.5: 1.0, 3: 1.0})
+    with pytest.raises(InvalidDispersion, match="complex drift"):
+        normalize({1: 1j, 3: 1.0})
+
+
 def test_normalize_idempotent():
     om = normalize({0: 1 + 2j, 1: -0.5, 3: 1, 2: 0.25j - 0.1})
     again = normalize(om)
@@ -94,6 +107,11 @@ def test_scaled_phase_refuses_a_shape_or_time_that_is_not_finite():
     for y in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="y must be finite"):
             scaled_phase(om, y, 1.0)
+
+
+def test_scaled_phase_refuses_y_zero():
+    with pytest.raises(ValueError, match="scaled phase undefined at y = 0"):
+        scaled_phase(normalize({3: 1}), 0.0, 1.0)
 
 
 def test_scaled_phase_past_the_float_range_is_degenerate():
@@ -191,6 +209,12 @@ def test_parse_format_roundtrip():
         assert again.coeffs == om.coeffs
 
 
+def test_parse_format_roundtrip_keeps_the_phase_rate_and_the_drift():
+    om = normalize({0: 0.5 - 2j, 1: -1.5, 2: 0.25 - 0.75j, 3: 2.0, 4: -1j})
+    assert format_omega(om) == "0:0.5-2i,1:-1.5,2:0.25-0.75i,3:2,4:-1i"
+    assert parse_omega(format_omega(om)) == om
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_omega("-1:2")
@@ -198,6 +222,10 @@ def test_parse_rejects_bad_input():
         parse_omega("2:1,2:3")      # duplicate degree
     with pytest.raises(ValueError):
         parse_omega("not a relation")
+    with pytest.raises(InvalidDispersion, match="empty entry in '3:1,,2:1'"):
+        parse_omega("3:1,,2:1")
+    with pytest.raises(InvalidDispersion, match="bad degree 'x'"):
+        parse_omega("x:1,3:1")
 
 
 @pytest.mark.parametrize("degree", range(2, 34))

@@ -67,6 +67,24 @@ def test_ic_algebra():
     assert ic.derivative_jump(0.0, 1) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("breakpoints, pieces, message", [
+    ((0.0,), (), "need at least two breakpoints"),
+    ((0.0, math.inf), ((1.0,),), "breakpoints must be finite"),
+    ((math.nan, 1.0), ((1.0,),), "breakpoints must be finite"),
+    ((-1.0, 0.0, 1.0), ((1.0,),), "3 breakpoints need 2 pieces, got 1"),
+])
+def test_ic_refuses_bad_breakpoints_and_piece_counts(breakpoints, pieces, message):
+    with pytest.raises(ValueError, match=message):
+        PiecewisePolynomialIC(breakpoints, pieces)
+
+
+def test_ic_repr_and_sum_with_a_number():
+    assert repr(tent()) == ("PiecewisePolynomialIC(breakpoints=(-1.0, 0.0, 1.0), "
+                            "pieces=(((1+0j), (1+0j)), ((1+0j), (-1+0j))))")
+    with pytest.raises(TypeError):
+        box() + 3
+
+
 def test_degree_cap():
     with pytest.raises(ValueError):
         PiecewisePolynomialIC((0.0, 1.0), ((1.0,) * 12,))

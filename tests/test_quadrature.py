@@ -19,6 +19,12 @@ def test_rule_order2_is_simpson():
     assert np.allclose(weights[order], [1 / 3, 4 / 3, 1 / 3])
 
 
+@pytest.mark.parametrize("order", [3, 1, 0])
+def test_rule_refuses_an_odd_order_or_one_below_2(order):
+    with pytest.raises(ValueError, match="order must be an even integer >= 2"):
+        clenshaw_curtis_rule(order)
+
+
 @pytest.mark.parametrize("order", [2, 4, 8, 16, 64, 256])
 def test_rule_weight_sum_and_symmetry(order):
     nodes, weights = clenshaw_curtis_rule(order)

@@ -109,6 +109,14 @@ def test_t0_closed_form():
             assert eval_I(om, m, -y, 0.0) == pytest.approx(want, abs=1e-14)
 
 
+def test_eval_I_refuses_a_negative_or_infinite_time_and_an_unknown_method():
+    for t in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            eval_I(HEAT, 0, 1.0, t)
+    with pytest.raises(ValueError, match="unknown method 'steepest'"):
+        eval_I(HEAT, 0, 1.0, 1.0, method="steepest")
+
+
 def test_t0_kernel_rejected():
     with pytest.raises(ValueError):
         eval_kernel(HEAT, 1.0, 0.0)
@@ -169,6 +177,22 @@ def test_ode_y0_right_side():
     assert ode_residual(HEAT, 0, 0.0, 1.0, 1e-2) < 1e-5
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_ode_residual_refuses_a_time_that_is_not_positive(t):
+    with pytest.raises(ValueError, match="ode residual needs t > 0"):
+        ode_residual(HEAT, 0, 1.0, t)
+
+
+@pytest.mark.parametrize("h", [0.0, math.inf, -math.inf, math.nan])
+def test_ode_residual_refuses_a_step_that_is_zero_or_not_finite(h):
+    # h = 0 gave nan after a divide-by-zero warning, and h = inf raised
+    # "y must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite step h != 0"):
+            ode_residual(HEAT, 0, 1.0, 1.0, h)
+
+
 def test_eval_E_heat():
     got = eval_E(2, 0, -1j, 2.0)
     assert abs(got - E_HEAT_M0_S2) < 1e-12
@@ -194,13 +218,9 @@ def test_heat_profile_derivative():
 
 
 def test_schrodinger_closed_form_spot():
-    from scipy.special import wofz
-    # 1/2 (erf(e^{-i pi/4} s / 2) - 1) via the Faddeeva function
-    def cerf(z):
-        return 1.0 - np.exp(-z * z) * wofz(1j * z)
+    # 1/2 (erf(e^{-i pi/4} s / 2) - 1)
     for s in (-6.3, -1.0, 0.4, 5.5):
-        z = np.exp(-1j * np.pi / 4) * s / 2
-        want = (cerf(z) - 1) / 2
+        want = (erf(np.exp(-1j * np.pi / 4) * s / 2) - 1) / 2
         assert abs(eval_I(SCHRO, 0, float(s), 1.0) - want) < 1e-10
 
 
@@ -267,6 +287,37 @@ def test_asymptotic_refuses_what_eval_I_refuses():
             asymptotic_I({3: 1}, 0, y, 1.0)
     # no cap on m: eval_I's comes from its quadrature, and there is none here
     assert asymptotic_I({3: 1}, np.int64(12), 10.0, 1.0) == asymptotic_I({3: 1}, 12, 10.0, 1.0)
+
+
+def test_asymptotic_refuses_y_zero():
+    with pytest.raises(ValueError, match="asymptotics need y != 0"):
+        asymptotic_I({3: 1}, 0, 0.0, 1.0)
+
+
+def test_residue_part_refuses_an_m_that_eval_I_refuses():
+    # m = True gave the array [[1j, 1+0j]], m = 1.5 numpy's TypeError, and
+    # m = -2 the value 0
+    om = normalize({3: 1})
+    for m in (True, 1.5, -2):
+        with pytest.raises(ValueError, match="m must be an integer >= -1"):
+            residue_part(om, m, -1.0, 1.0)
+    # no cap on m, as for asymptotic_I: there is no quadrature here
+    assert residue_part(om, np.int64(12), -1.0, 1.0) == residue_part(om, 12, -1.0, 1.0)
+
+
+def test_residue_part_refuses_a_y_that_is_not_finite():
+    # y = nan at m = 0 gave -1
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="y must be finite"):
+            residue_part(normalize({3: 1}), 0, y, 1.0)
+
+
+def test_residue_part_refuses_a_time_that_is_not_finite_and_non_negative():
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            residue_part(normalize({3: 1}), 0, -1.0, t)
+    # at t = 0 the plateau is the data's own, -(y^m / m!) for y < 0
+    assert residue_part(normalize({3: 1}), 2, -1.0, 0.0) == -0.5
 
 
 def test_a_phase_past_the_float_range_fails_as_a_numerical_error(spy):
