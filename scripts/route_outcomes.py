@@ -42,8 +42,9 @@ With --against FILE the lines are not printed but compared with FILE, the
 output of an earlier run on the same seeds and mode (say, of another
 checkout), for changes that move values only in their last bits.  Every
 line that differs in its outcome kind (value or exception type) or
-exception message, or in how many numbers its value shows, or has no
-counterpart, is printed.  Then, for each method apart, the largest
+exception message, or in how many numbers its value shows, or whose
+numbers move by more than 1e-9 relative (far past the last bits), or has
+no counterpart, is printed.  Then, for each method apart, the largest
 |v - v0| / (1 + |v0|) over the numbers of its values (v0 from FILE) is
 printed with the line where it occurs (seed, index, query).  The exit
 code is 1 when any line differs.
@@ -62,7 +63,7 @@ from click.testing import CliRunner
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from dispgibbs import cli, eval_I, eval_I_grid, gibbs  # noqa: E402
+from dispgibbs import asymptotic_I, cli, eval_I, eval_I_grid, gibbs, normalize, residue_part  # noqa: E402
 from workloads import GIBBS_DEGREES, SOLVE_ARGS, draw_queries  # noqa: E402
 
 GRID_SHAPES = np.linspace(-8.0, 8.0, 9)   # both routes under auto: |s| >= 4 is descent
@@ -71,6 +72,16 @@ FIXED_GRIDS = (   # (coeffs, ys at t = 1, methods)
     ({3: 1}, [-2.0, -1.0, 0.0, 1.0, 2.0, 6.0], ("auto",)),
     ({3: 1, 1: 300.0}, np.linspace(298.0, 302.0, 400).tolist(), ("direct",)),
     ({3: 1}, [0.5, 6.0, 1e300], ("auto",)),
+)
+# (index, coeffs, given as a relation, m, y, t) of the plateau lines: the
+# plateau reads the drift (its indicator is y - omega_1 t < 0) and the
+# phase rate (a factor exp(-i omega_0 t)) as eval_I does
+PLATEAUS = (
+    *((f"k3-m{m}", {3: 1}, True, m, -6.0, 0.5) for m in range(4)),
+    ("drift", {3: 1, 1: 40.0}, True, 0, 31.0, 1.0),
+    ("phase-rate", {3: 1, 0: 1.0}, True, 0, -30.0, 1.0),
+    ("mixed-dict", {3: 2, 2: -0.3j, 1: 5, 0: 0.7}, False, 2, -40.0, 0.7),
+    ("mixed-relation", {3: 2, 2: -0.3j, 1: 5, 0: 0.7}, True, 2, -40.0, 0.7),
 )
 # (index, n_list, sigma) of the gibbs lines past the benchmark's table: the
 # real-part maximum of -k^3 sits at the scan's right end, so its Chebyshev
@@ -136,6 +147,15 @@ def fixed_grid_outcomes():
                            lambda: eval_I_grid(coeffs, m, ys, 1.0, method=method).tolist())
 
 
+def plateau_outcomes():
+    for index, coeffs, relation, m, y, t in PLATEAUS:
+        omega = normalize(coeffs) if relation else coeffs
+        for name, f in (("residue_part", residue_part), ("asymptotic_I", asymptotic_I)):
+            yield _outcome({"seed": "plateau", "index": index, "method": name,
+                            "query": repr((coeffs, "relation" if relation else "dict", m, y, t))},
+                           lambda: f(omega, m, y, t))
+
+
 def _cli(args):
     """What `dispgibbs ARGS` writes to stdout, then to stderr, then its exit
     code; an exception that is not an exit is raised."""
@@ -187,13 +207,14 @@ def compare(lines, against):
             moved = max((abs(a - b) / (1.0 + abs(b)) for a, b in zip(v, v0)), default=0.0)
             if same and moved > largest:
                 drift[line["method"]] = (moved, line)
+            same = same and moved <= 1e-9
         if not same:
             differ += 1
             print(json.dumps({"now": line, "saved": old}))
     for old in saved.values():
         differ += 1
         print(json.dumps({"now": None, "saved": old}))
-    print(f"{differ} lines differ in outcome or message")
+    print(f"{differ} lines differ in outcome, message or value")
     for method, (moved, line) in drift.items():
         where = (f" (seed {line['seed']}, index {line['index']}, {line['query']})"
                  if line else "")
@@ -204,14 +225,15 @@ def compare(lines, against):
 def main(argv):
     parser = argparse.ArgumentParser(description="eval_I outcomes on the queries draws")
     parser.add_argument("--grid", action="store_true",
-                        help="pin eval_I_grid, the gibbs tables and the CLI's outputs instead")
+                        help="pin eval_I_grid, the plateau, the gibbs tables and the CLI's "
+                             "outputs instead")
     parser.add_argument("--against", type=argparse.FileType(),
                         help="compare with this earlier output instead of printing")
     parser.add_argument("seeds", nargs="+", type=int)
     args = parser.parse_args(argv)
     if args.grid:
         lines = itertools.chain((line for seed in args.seeds for line in grid_outcomes(seed)),
-                                fixed_grid_outcomes(), batch_products())
+                                fixed_grid_outcomes(), plateau_outcomes(), batch_products())
     else:
         lines = (line for seed in args.seeds for line in outcomes(seed))
     if args.against:

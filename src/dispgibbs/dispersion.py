@@ -4,9 +4,10 @@ A relation omega(k) = sum_j omega_j k^j (complex coefficients, degree n >= 2)
 drives the evolution i q_t - omega(-i d/dx) q = 0.  Degree-0 and degree-1
 terms carry no dispersion: normalization strips them into a phase rate and a
 drift that the solution layer reapplies as exp(-i omega_0 t) and x -> x -
-omega_1 t.  Well-posedness on the line requires Im(omega_n) <= 0 for even n
-and real omega_n for odd n, otherwise the propagator blows up at one of the
-ends of the k-axis.
+omega_1 t; a relation's symbol puts them back where the full symbol is read.
+Well-posedness on the line requires Im(omega_n) <= 0 for even n and real
+omega_n for odd n, otherwise the propagator blows up at one of the ends of
+the k-axis.
 
 For |y| large the integral I(y,t) = (1/2pi) int exp(iky - i omega(k) t) /
 (ik)^(m+1) dk is dominated by saddles.  Substituting k = sigma * s_f * z with
@@ -117,6 +118,12 @@ class DispersionRelation:
     def leading(self):
         return self.coeffs[-1]
 
+    @property
+    def symbol(self):
+        """All ascending coefficients omega_0..omega_n, with the phase rate
+        and the drift put back."""
+        return (self.coeffs[0] + self.phase_rate, self.coeffs[1] + self.drift) + self.coeffs[2:]
+
     def __call__(self, k):
         """omega(k) without the stripped drift/phase terms; k may be an array."""
         return polyval(self.coeffs, k)
@@ -124,12 +131,7 @@ class DispersionRelation:
 
 def _as_coeff_dict(coeffs):
     if isinstance(coeffs, DispersionRelation):
-        d = {j: c for j, c in enumerate(coeffs.coeffs) if c != 0}
-        if coeffs.drift:
-            d[1] = d.get(1, 0j) + coeffs.drift
-        if coeffs.phase_rate:
-            d[0] = d.get(0, 0j) + coeffs.phase_rate
-        return d
+        coeffs = coeffs.symbol
     if isinstance(coeffs, dict):
         items = coeffs.items()
     else:
@@ -216,23 +218,19 @@ def parse_omega(text):
 
 
 def _fmt_c(c):
-    re, im = c.real, c.imag
-    if im == 0:
-        return f"{re:g}"
-    if re == 0:
-        return f"{im:g}i"
-    return f"{re:g}{im:+g}i"
+    """c in 'i' notation, each part the shortest string that parses back to
+    it exactly, without a trailing '.0'."""
+    re, im = (repr(float(x)).removesuffix(".0") for x in (c.real, c.imag))
+    if c.imag == 0:
+        return re
+    if c.real == 0:
+        return f"{im}i"
+    return f"{re}{'+' if c.imag > 0 else ''}{im}i"
 
 
 def format_omega(omega):
-    """Inverse of parse_omega (drift/phase re-emitted as degrees 1/0)."""
-    parts = []
-    if omega.phase_rate:
-        parts.append(f"0:{_fmt_c(complex(omega.phase_rate))}")
-    if omega.drift:
-        parts.append(f"1:{_fmt_c(complex(omega.drift))}")
-    parts += [f"{j}:{_fmt_c(c)}" for j, c in enumerate(omega.coeffs) if c != 0]
-    return ",".join(parts)
+    """Inverse of parse_omega, exactly (drift/phase re-emitted as degrees 1/0)."""
+    return ",".join(f"{j}:{_fmt_c(c)}" for j, c in enumerate(omega.symbol) if c != 0)
 
 
 def rescaled(omega, t):

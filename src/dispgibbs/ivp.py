@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .dispersion import normalize, polyder, polyval
-from .special import MAX_PIECE_DEGREE, _index, eval_I, eval_I_grid
+from .special import MAX_PIECE_DEGREE, _check_query, _index, eval_I, eval_I_grid
 
 
 class NotAJump(ValueError):
@@ -164,7 +164,9 @@ def solve(ic, omega, x, t, method="auto"):
     q(x,t) = sum_{(c,m): J} J * I_{omega,m}(x - c, t); constant and linear
     parts of omega enter through the phase/drift handling inside eval_I.
     At t = 0 the sum telescopes back to the piece value, so x must then
-    stay off the breakpoints (no canonical value exists there).
+    stay off the breakpoints (no canonical value exists there).  x, t and
+    method are refused as eval_I_grid refuses them, even by an IC without
+    jumps.
 
     x may be a scalar or a 1-D array; each jump's shifted copies x - c are
     one eval_I_grid call, and the result is one value per x (a scalar x is
@@ -175,6 +177,7 @@ def solve(ic, omega, x, t, method="auto"):
     if xs.ndim > 1:
         raise ValueError("x must be a scalar or a 1-D grid")
     grid = xs.reshape(-1)
+    _check_query(grid, t, method)
     total = np.zeros(grid.shape, dtype=complex)
     for (c, m), jump in jump_decomposition(ic).items():
         total += jump * eval_I_grid(om, m, grid - c, t, method=method)
@@ -207,13 +210,10 @@ def taylor_away(ic, omega, x, t, order):
         raise PieceTooShallow(
             f"degree-{len(piece) - 1} piece cannot feed {order} powers of a "
             f"degree-{n} symbol")
-    symbol = list(om.coeffs)
-    symbol[0] += om.phase_rate
-    symbol[1] += om.drift
 
     def apply_symbol(coeffs):
         out = [0j] * max(len(coeffs), 1)
-        for r, w in enumerate(symbol):
+        for r, w in enumerate(om.symbol):
             if w == 0:
                 continue
             term = [w * (-1j) ** r * c for c in polyder(coeffs, r)]
@@ -241,8 +241,7 @@ def rescaled_profile(ic, omega, c, x_grid, t):
     bounded x sets, whatever the rest of the IC does.
     """
     om = normalize(omega)
-    nz = [j for j, w in enumerate(om.coeffs) if w != 0]
-    if om.drift or om.phase_rate or nz != [om.degree]:
+    if [j for j, w in enumerate(om.symbol) if w != 0] != [om.degree]:
         raise ValueError("the rescaled profile needs a monomial dispersion relation")
     if t <= 0:
         raise ValueError("the rescaled profile needs t > 0")

@@ -88,47 +88,65 @@ def _validate(m, ys, t, method):
 
     m may be any integer type but bool, from -1 to MAX_PIECE_DEGREE + 1:
     past that the detour's pole factor 1/(iz)^(m+1) cancels in the sum and
-    the values are wrong without warning.  The checks run in the order a
-    lone point has always met them."""
+    the values are wrong without warning.  Then ys, t and the method are
+    checked as ivp.solve checks them (_check_query), and last the two
+    queries that have no value at t = 0."""
     m_int = _checked_m(m)
     if m_int > MAX_PIECE_DEGREE + 1:
         raise ValueError(f"m must be at most {MAX_PIECE_DEGREE + 1}, got {m!r}")
-    if not np.isfinite(ys).all():
-        raise ValueError("y must be finite")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("t must be finite and >= 0")
+    _check_query(ys, t, method)
     if t == 0 and m_int == -1:
         raise ValueError("the fundamental solution has no value at t = 0")
     if t == 0 and (ys == 0).any():
         raise ValueError("I_m(0, 0) is undefined (jump point of the data)")
-    if method not in ("auto", "direct", "descent"):
-        raise ValueError(f"unknown method {method!r}")
     return m_int
 
 
-def residue_part(omega, m, y, t):
-    """-i * Res_{k=0}[exp(iky - i omega(k) t)/(ik)^(m+1)] * chi_(y<0).
+def _check_query(ys, t, method):
+    """Refuse a grid ys that is not finite, a t that is not finite and >= 0,
+    and an unknown method."""
+    if not np.isfinite(ys).all():
+        raise ValueError("y must be finite")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
+    if method not in ("auto", "direct", "descent"):
+        raise ValueError(f"unknown method {method!r}")
 
-    The residue is the k^m Taylor coefficient e_m of exp(iky - i omega(k) t)
-    divided by i^(m+1); exp-of-series gives e_m exactly in m steps.  m, y
-    and t are checked as eval_I checks them, without the cap on m that
-    eval_I's quadrature needs.
+
+def residue_part(omega, m, y, t):
+    """-i * Res_{k=0}[exp(iky - i omega(k) t)/(ik)^(m+1)] * chi_(y - omega_1 t < 0),
+    the exact plateau of I_m (see _plateau), for a (possibly unnormalized)
+    dispersion relation.  m, y and t are checked as eval_I checks them,
+    without the cap on m that eval_I's quadrature needs.
     """
+    omega = normalize(omega)
     m = _checked_m(m)
     if not math.isfinite(y):
         raise ValueError("y must be finite")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and >= 0")
-    if m < 0 or y >= 0:
+    return _plateau(omega, m, y, t)
+
+
+def _plateau(omega, m, y, t):
+    """residue_part without its checks, for a DispersionRelation.
+
+    The residue is the k^m Taylor coefficient e_m of exp(iky - i omega(k) t)
+    divided by i^(m+1), omega read in full (its symbol, the drift and the
+    phase rate included); exp-of-series gives e_m exactly in m steps, from
+    e_0 = exp(-i omega_0 t).
+    """
+    w = omega.symbol
+    if m < 0 or y - w[1].real * t >= 0:
         return 0j
     g = np.zeros(m + 1, dtype=complex)
     if m >= 1:
         g[1] = 1j * y
-    for j, c in enumerate(omega.coeffs):
-        if c != 0 and 2 <= j <= m:
+    for j, c in enumerate(w[1:m + 1], 1):
+        if c != 0:
             g[j] += -1j * c * t
     e = np.zeros(m + 1, dtype=complex)
-    e[0] = 1.0
+    e[0] = cmath.exp(-1j * w[0] * t) if w[0] else 1.0
     for r in range(1, m + 1):
         e[r] = sum(l * g[l] * e[r - l] for l in range(1, r + 1)) / r
     inv_i_m = (1, -1j, -1, 1j)[m % 4]  # i^(-m)
@@ -284,7 +302,7 @@ def _descent_core(can, m, s, system):
     pref = np.array([(-1.0 if (sg < 0 and (m + 1) % 2 == 1) else 1.0) * sf ** (-m)
                      for sg, sf in zip(np.ravel(phase.sigma).tolist(),
                                        np.ravel(phase.scale).tolist())])
-    residue = np.array([residue_part(can, m, float(si), 1.0) for si in s])
+    residue = np.array([_plateau(can, m, float(si), 1.0) for si in s])
     return residue + pref * total
 
 
@@ -477,7 +495,7 @@ def asymptotic_I(omega, m, y, t):
     sign = -1.0 if (phase.sigma < 0 and (m + 1) % 2 == 1) else 1.0
     pref = factor * u ** m
     return AsymptoticValue(
-        residue_part=pref * residue_part(can, m, s, 1.0),
+        residue_part=pref * _plateau(can, m, s, 1.0),
         oscillatory_part=pref * sign * phase.scale ** (-m) * osc,
         order_estimate=1.0 / X,
     )

@@ -14,7 +14,7 @@ from dispgibbs import (DegeneratePhase, DispersionRelation, NoConvergence, conto
                        normalize, pole_avoiding_contour, scaled_phase, validate_descent)
 from dispgibbs.contour import (MAX_SEGMENTS, PHASE_BUDGET, TAIL_DROP, TAIL_SLACK,
                                _phase_exponent, _phase_knots, descent_batches)
-from dispgibbs.dispersion import scaled_phase_rows
+from dispgibbs.dispersion import scaled_phase_rows, stationary_point_rows
 from dispgibbs.special import _canonical
 
 
@@ -265,6 +265,40 @@ def test_validate_descent_passes(coeffs, x, t):
     # max Re X Phi along each contour is attained at the saddle
     assert report.max_uphill < 1e-10
     assert report.max_gradient < 1e-7
+
+
+def test_saddle_angle_refuses_a_vanishing_second_derivative():
+    # Phi'' of k^3 vanishes at 0, which is no stationary point: at one,
+    # Phi'' = 0 makes a double root of W' = 1, which stationary_points
+    # refuses as a collision before the saddle angle is taken
+    with pytest.raises(DegeneratePhase, match="vanishing Phi'' at stationary point 0j"):
+        contour._saddle_angle(scaled_phase(normalize({3: 1}), 1.0, 1.0), 0j)
+
+
+def test_descent_refuses_a_central_direction_away_from_both_valleys():
+    # the growing k^2 term turns a saddle's steepest direction away from
+    # both valleys its position angle lies between
+    om = normalize({6: -1j, 2: 1.3j})
+    with pytest.raises(DegeneratePhase, match="central direction points away from both"):
+        descent_system(scaled_phase(om, -2.5, 1.0), 0, False)
+    # the batched builder rejects every such row, and with none left builds nothing
+    rows = scaled_phase_rows(om, np.array([-2.5, -2.5]))
+    roots, count = stationary_point_rows(rows)
+    with np.errstate(all="ignore"):
+        ok, system = contour._descent_rows(rows, roots[:, :count[0]], 0, False)
+    assert count.tolist() == [3, 3] and not ok.any() and system is None
+    assert descent_batches(rows, 0, False) == []
+
+
+def test_arc_radius_rounds_a_root_down_onto_the_bound():
+    # Newton's root of the bound of {6: 1, 3: 19} at 1 rounds up, where the
+    # bound reads just above 1: the detour takes the float below it
+    om = normalize({6: 1, 3: 19})
+    b = contour._bound(om, 0.0)
+    r = contour._convex_root(b, 1.0, 0.0, 0.5)
+    assert contour._horner(b, r)[0] > 1.0
+    r_arc = contour._arc_radius(om, 0.0, 10.0)
+    assert r_arc == math.nextafter(r, 0.0) and contour._horner(b, r_arc)[0] <= 1.0
 
 
 def test_validate_descent_flags_wrong_angle():

@@ -1,12 +1,14 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion, eval_I,
-                       format_omega, normalize, parse_omega, rescaled,
-                       scaled_phase, stationary_points)
+from dispgibbs import (DegeneratePhase, IllPosed, InvalidDispersion, PiecewisePolynomialIC,
+                       box, eval_I, format_omega, normalize, parse_omega, rescaled,
+                       rescaled_profile, residue_part, scaled_phase, stationary_points,
+                       taylor_away)
 from dispgibbs.dispersion import polyder, polyval, scaled_phase_rows, stationary_point_rows
 
 
@@ -213,6 +215,50 @@ def test_parse_format_roundtrip_keeps_the_phase_rate_and_the_drift():
     om = normalize({0: 0.5 - 2j, 1: -1.5, 2: 0.25 - 0.75j, 3: 2.0, 4: -1j})
     assert format_omega(om) == "0:0.5-2i,1:-1.5,2:0.25-0.75i,3:2,4:-1i"
     assert parse_omega(format_omega(om)) == om
+
+
+def test_parse_format_roundtrip_is_exact():
+    # format_omega printed 6 significant digits, so 1/3 and 0.1 came back moved
+    om = normalize({0: 0.1 + 1j / 3, 1: 1 / 3, 2: 0.1 - 1j / 3, 3: 1 / 3, 5: 0.1})
+    assert parse_omega(format_omega(om)) == om
+    assert format_omega(normalize({3: 1, 1: 1 / 3})) == "1:0.3333333333333333,3:1"
+    assert format_omega(normalize({2: 1e-20 - 2.5e16j})) == "2:1e-20-2.5e+16i"
+
+
+def test_symbol_puts_back_the_phase_rate_and_the_drift_for_every_consumer():
+    om = normalize({0: 0.5 - 2j, 1: -1.5, 3: 2.0, 4: -1j})
+    w0, w1, _, w3, w4 = om.symbol
+    assert om.symbol == (0.5 - 2j, -1.5, 0, 2.0, -1j)
+    canonical = normalize({3: 1, 2: 0.5})
+    assert canonical.symbol == canonical.coeffs
+    # dispersion: normalize takes a relation through its symbol, format_omega prints it
+    assert normalize(om.symbol) == om and normalize(om) == om
+    assert format_omega(om) == "0:0.5-2i,1:-1.5,3:2,4:-1i"
+    # ivp: one Taylor step of q = x^4 applies omega(-i d/dx) = w0 - i w1 d + i w3 d^3 + w4 d^4
+    x, t = 0.3, 0.01
+    ic = PiecewisePolynomialIC((-1.0, 1.0), ((0, 0, 0, 0, 1),))
+    step = w0 * x ** 4 - 1j * w1 * 4 * x ** 3 + 1j * w3 * 24 * x + w4 * 24
+    assert taylor_away(ic, om, x, t, 1) == pytest.approx(x ** 4 - 1j * t * step, rel=1e-15)
+    for coeffs in ({2: -1j, 0: 0.5}, {2: -1j, 1: 0.5}, {3: 1, 2: 0.5}):
+        with pytest.raises(ValueError, match="needs a monomial"):
+            rescaled_profile(box(), coeffs, -1.0, [0.0], 0.1)
+    # special: the plateau's indicator is y - w1 t < 0 and its factor exp(-i w0 t)
+    assert residue_part(om, 0, -2.0, 1.0) == -cmath.exp(-1j * w0)
+    assert residue_part(om, 0, -1.0, 1.0) == 0j
+
+
+def test_an_even_leading_coefficient_loses_a_tiny_positive_imaginary_part():
+    om = normalize({2: 1 + 1e-17j})     # within the 1e-14 relative slack
+    assert om.leading == 1 and om.leading.imag == 0.0
+    assert normalize({2: 1 - 1e-17j}).leading.imag == -1e-17   # a dissipative one stays
+
+
+def test_stationary_points_refuse_a_count_off_the_expectation():
+    # a large k^2 term at |y|/t = 1 leaves 2 points in the upper half plane
+    # where the k^3 phase at y < 0 has 1
+    with pytest.raises(DegeneratePhase, match="found 2 upper-half-plane stationary "
+                                                "points, expected 1"):
+        stationary_points(scaled_phase(normalize({3: 1, 2: 50}), -1.0, 1.0))
 
 
 def test_parse_rejects_bad_input():

@@ -271,6 +271,21 @@ def test_grid_solve_goes_through_the_module_hooks(spy):
                                                for sg in c.segments}
 
 
+@pytest.mark.parametrize("x, t, method, message", [
+    (0.5, -1.0, "auto", "t must be finite and >= 0"),
+    (0.5, math.inf, "auto", "t must be finite and >= 0"),
+    ([0.0, math.nan], 1.0, "auto", "y must be finite"),
+    (0.5, 1.0, "bogus", "unknown method 'bogus'"),
+], ids=["negative-t", "infinite-t", "nan-x", "bogus-method"])
+def test_solve_refuses_what_eval_I_grid_refuses_without_jumps(x, t, method, message):
+    # an IC without jumps gave 0 for each of these; one with jumps raised
+    zero = PiecewisePolynomialIC((-1.0, 1.0), ((0.0,),))
+    assert jump_decomposition(zero) == {}
+    for ic in (zero, box()):
+        with pytest.raises(ValueError, match=message):
+            solve(ic, HEAT, x, t, method=method)
+
+
 def test_solve_past_the_float_range_is_a_numerical_failure():
     # the scaled phase overflows at x = 1e300: was numpy's LinAlgError, a
     # ValueError; now the descent point falls back to direct, whose

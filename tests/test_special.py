@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -318,6 +319,55 @@ def test_residue_part_refuses_a_time_that_is_not_finite_and_non_negative():
             residue_part(normalize({3: 1}), 0, -1.0, t)
     # at t = 0 the plateau is the data's own, -(y^m / m!) for y < 0
     assert residue_part(normalize({3: 1}), 2, -1.0, 0.0) == -0.5
+
+
+def test_residue_part_reads_the_drift_and_the_phase_rate():
+    # the plateau ignored both: 0j where eval_I gives -0.999998 (its shape
+    # y - 40 t is -9), and -1 where eval_I gives -exp(-i)
+    assert residue_part(normalize({3: 1, 1: 40.0}), 0, 31.0, 1.0) == -1
+    assert abs(residue_part(normalize({3: 1, 0: 1.0}), 0, -30.0, 1.0) + cmath.exp(-1j)) <= 1e-15
+
+
+def test_residue_part_takes_a_dict():
+    # it raised AttributeError: it read .coeffs without normalizing
+    assert residue_part({3: 1}, 0, -1.0, 1.0) == -1
+    assert residue_part({3: 2, 1: 5, 0: 0.7}, 2, -40.0, 0.7) == residue_part(
+        normalize({3: 2, 1: 5, 0: 0.7}), 2, -40.0, 0.7)
+
+
+@pytest.mark.parametrize("coeffs, y, t", [
+    ({3: 2, 2: -0.3j, 1: 5, 0: 0.7}, -40.0, 0.7),
+    ({4: -1j, 1: -3.0, 0: 0.2 - 0.1j}, -30.0, 0.5),
+    ({3: 1, 1: 40.0}, 31.0, 1.0),
+    ({5: 1, 3: 0.5, 0: 1.0}, -30.0, 1.0),
+    ({3: -1, 2: 0.2, 1: 3, 0: -2 + 0.5j}, -20.0, 2.0),
+])
+def test_residue_part_is_the_plateau_of_the_asymptotics(coeffs, y, t):
+    # asymptotic_I takes its plateau at the canonical shape and scales it
+    # back; residue_part reads the relation's full symbol at (y, t)
+    for m in range(5):
+        v = residue_part(normalize(coeffs), m, y, t)
+        assert abs(v - asymptotic_I(coeffs, m, y, t).residue_part) <= 1e-14 * (1 + abs(v))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_drifted_residue_decay(m):
+    # I - residue decays faster than any power of y - omega_1 t -> -inf,
+    # with a drift that carries y = 32 and 24 to the plateau's side
+    om = normalize({3: 1, 1: 40.0, 0: 0.5})
+    errs = [abs(eval_I(om, m, 40.0 + d, 1.0) - residue_part(om, m, 40.0 + d, 1.0))
+            for d in (-8.0, -16.0)]
+    assert errs[1] < errs[0] * 2.0 ** -8 and errs[1] < 1e-11
+
+
+def test_a_saddle_past_the_float_range_is_a_numerical_failure():
+    # Im omega_2 > 0 makes this integrand grow without bound along the real
+    # axis (normalize checks only the leading coefficient): the saddle of
+    # the descent system sits past exp's range above the pole's value.
+    # Where the growth is bounded (an even top term with Im < 0) and still
+    # passes e^700, the ridge guard has refused every descent build tried
+    with pytest.raises(NonFinite, match="descent saddle magnitude overflows"):
+        eval_I({3: 1, 2: 20 + 20j}, 0, -2.0, 1.0, method="descent")
 
 
 def test_a_phase_past_the_float_range_fails_as_a_numerical_error(spy):
